@@ -1,11 +1,16 @@
 // Engine micro-benchmark: raw throughput of the simulation engine itself
-// (no synchronization algorithms on top). Four workloads:
+// (no synchronization algorithms on top). Five workloads:
 //
 //   event_churn   — events executed/sec through the event queue, using
 //                   callbacks with UDN-delivery-sized captures (24 bytes)
 //   fiber_churn   — fiber resume/yield round trips/sec through the scheduler
 //   udn_pingpong  — two-core message round trips/sec (send+receive both ways)
 //   udn_flood     — many-to-one messages/sec with link contention modelled
+//   spin_wait     — simulated poll iterations/sec: fibers spin on their own
+//                   lines (SimCtx::spin_until) while one writer flips them;
+//                   spin_literal runs the same simulation with the
+//                   hand-written load/cpu_relax loop, and both also print
+//                   host ns per poll iteration
 //
 // Usage: engine_micro [--smoke] [--json FILE]
 //   --smoke  run 1% of the default iteration counts (CI smoke test)
@@ -29,6 +34,9 @@
 #include "arch/topology.hpp"
 #include "arch/udn.hpp"
 #include "sim/scheduler.hpp"
+#ifndef ENGINE_MICRO_SEED
+#include "runtime/sim_executor.hpp"
+#endif
 
 using namespace hmps;
 using sim::Cycle;
@@ -153,6 +161,50 @@ Result udn_flood(std::uint64_t messages) {
   return {"udn_flood", "msgs/s", per * (C - 1), dt};
 }
 
+// ---- spin_wait -------------------------------------------------------------
+// kSpinners threads each wait for successive generations on their own cache
+// line; a writer thread bumps the lines round-robin with a little compute in
+// between, so most of the simulation is poll iterations (a load plus a
+// cpu_relax). Both variants simulate exactly the same machine, so the ratio
+// of their rates is the host cost of a fiber switch per poll.
+#ifndef ENGINE_MICRO_SEED
+template <bool kLiteral>
+Result spin_wait(std::uint64_t generations) {
+  constexpr std::uint32_t kSpinners = 16;
+  struct alignas(rt::kCacheLine) Line {
+    rt::Word v{0};
+  };
+  std::vector<Line> lines(kSpinners);
+  rt::SimExecutor ex(arch::MachineParams::tilegx36());
+  ex.add_thread([&](rt::SimCtx& ctx) {  // the writer, on core 0
+    for (std::uint64_t g = 1; g <= generations; ++g) {
+      for (Line& l : lines) {
+        ctx.compute(8);
+        ctx.store(&l.v, g);
+      }
+    }
+  });
+  for (std::uint32_t i = 0; i < kSpinners; ++i) {
+    ex.add_thread([&lines, i, generations](rt::SimCtx& ctx) {
+      rt::Word* w = &lines[i].v;
+      for (std::uint64_t g = 1; g <= generations; ++g) {
+        if constexpr (kLiteral) {
+          while (ctx.load(w) != g) ctx.cpu_relax();
+        } else {
+          ctx.spin_until(w, [g](std::uint64_t v) { return v == g; });
+        }
+      }
+    });
+  }
+  const double t0 = now_sec();
+  ex.run_until(sim::kCycleMax);
+  const double dt = now_sec() - t0;
+  std::uint64_t polls = 0;  // spinner loads: one per poll iteration
+  for (Tid c = 1; c <= kSpinners; ++c) polls += ex.machine().core(c).mem_ops;
+  return {kLiteral ? "spin_literal" : "spin_wait", "polls/s", polls, dt};
+}
+#endif
+
 // ---- engine self-counters --------------------------------------------------
 // Re-runs a short mixed workload on a fresh scheduler purely to report the
 // allocation-escape counters (the seed engine has none — stubbed under
@@ -225,10 +277,18 @@ int main(int argc, char** argv) {
   results.push_back(fiber_churn(2'000'000 / scale));
   results.push_back(udn_pingpong(400'000 / scale));
   results.push_back(udn_flood(700'000 / scale));
+#ifndef ENGINE_MICRO_SEED
+  results.push_back(spin_wait<false>(2'000 / scale));
+  results.push_back(spin_wait<true>(2'000 / scale));
+#endif
 
   for (const Result& r : results) {
-    std::printf("%-14s %12llu ops  %8.3f s  %14.0f %s\n", r.name,
+    std::printf("%-14s %12llu ops  %8.3f s  %14.0f %s", r.name,
                 (unsigned long long)r.ops, r.seconds, r.rate(), r.unit);
+    if (std::strcmp(r.unit, "polls/s") == 0 && r.ops > 0) {
+      std::printf("  %6.1f ns/poll", r.seconds * 1e9 / r.ops);
+    }
+    std::printf("\n");
   }
 
   const SelfCounters c = probe_counters();

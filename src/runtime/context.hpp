@@ -13,6 +13,8 @@
 //
 // System-model mapping (paper Section 2):
 //   load/store               read(a) / write(a,v) on 64-bit locations
+//   spin_until(a, done)      read(a) until done(value), cpu_relax between
+//                            reads; returns the value that satisfied done
 //   faa/exchange/cas         FAA / SWAP / CAS
 //   send/receive/queue_empty message-passing operations, FIFO per-thread
 //                            queues of 64-bit values; send is asynchronous,
@@ -39,10 +41,12 @@ concept ExecutionContext = requires(C c, std::atomic<std::uint64_t>* a,
                                     const std::atomic<std::uint64_t>* ca,
                                     std::uint64_t v, Tid t,
                                     const std::uint64_t* words,
-                                    std::uint64_t* out, std::size_t n) {
+                                    std::uint64_t* out, std::size_t n,
+                                    bool (*done)(std::uint64_t)) {
   { c.tid() } -> std::convertible_to<Tid>;
   { c.nthreads() } -> std::convertible_to<std::uint32_t>;
   { c.load(ca) } -> std::convertible_to<std::uint64_t>;
+  { c.spin_until(ca, done) } -> std::convertible_to<std::uint64_t>;
   { c.store(a, v) };
   { c.faa(a, v) } -> std::convertible_to<std::uint64_t>;
   { c.exchange(a, v) } -> std::convertible_to<std::uint64_t>;

@@ -59,6 +59,15 @@ class NativeCtx {
   T load(const std::atomic<T>* p) {
     return p->load(std::memory_order_acquire);
   }
+  /// Polls `*p` until `done(value)` holds; returns that value.
+  template <class T, class Done>
+  T spin_until(const std::atomic<T>* p, Done done) {
+    for (;;) {
+      const T v = load(p);
+      if (done(v)) return v;
+      cpu_relax();
+    }
+  }
   template <class T>
   void store(std::atomic<T>* p, T v) {
     p->store(v, std::memory_order_release);

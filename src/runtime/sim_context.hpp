@@ -18,6 +18,7 @@
 #include "arch/machine.hpp"
 #include "runtime/context.hpp"
 #include "sim/rng.hpp"
+#include "sim/scheduler.hpp"
 
 namespace hmps::rt {
 
@@ -56,8 +57,23 @@ class SimCtx {
     static_assert(sizeof(T) <= 8);
     fault_stall();
     const T v = p->load(std::memory_order_relaxed);
-    account_load(reinterpret_cast<std::uint64_t>(p));
+    m_.sched().wait_for(load_effects(reinterpret_cast<std::uint64_t>(p)));
     return v;
+  }
+
+  /// Polls `*p` until `done(value)` holds and returns that value, with
+  /// exactly the effects and timing of
+  ///   for (;;) { v = load(p); if (done(v)) return v; cpu_relax(); }
+  /// The iterations run as sim::Scheduler steps while this fiber stays
+  /// parked, so a poll costs no fiber switch (docs/MODEL.md §1). `done`
+  /// must be a pure function of the loaded value: it runs at the load, on
+  /// whichever stack the scheduler is dispatching from.
+  template <class T, class Done>
+  T spin_until(const std::atomic<T>* p, Done done) {
+    static_assert(sizeof(T) <= 8);
+    SpinSteps<T, Done> s(*this, p, done);
+    m_.sched().spin(s);
+    return s.value;
   }
 
   template <class T>
@@ -259,7 +275,7 @@ class SimCtx {
   void compute(Cycle cycles) { busy_wait(cycles, Bucket::kCompute, "compute"); }
 
   /// Backoff/poll iteration: same timing as compute(1), accounted as spin.
-  void cpu_relax() { busy_wait(1, Bucket::kSpin, "spin"); }
+  void cpu_relax() { busy_wait(1, Bucket::kSpin, kRelaxName); }
 
   /// Exploration yield point (sync-layer span boundaries, see
   /// sim/perturb.hpp): with a perturber installed the thread may be stalled
@@ -304,6 +320,56 @@ class SimCtx {
   }
 
  private:
+  static constexpr const char* kRelaxName = "spin";
+
+  /// spin_until's loop as scheduler steps. Each phase applies what the
+  /// literal loop does between two waits; a phase that finds no injected
+  /// preemption falls through to the operation it guards.
+  template <class T, class Done>
+  class SpinSteps final : public sim::Stepper {
+   public:
+    SpinSteps(SimCtx& ctx, const std::atomic<T>* p, Done& done)
+        : ctx_(ctx), p_(p), done_(done) {}
+
+    Wait step() override {
+      switch (phase_) {
+        case Phase::kLoadFault:
+          if (const Cycle until = ctx_.stall_effects()) {
+            phase_ = Phase::kLoad;
+            return {until, false};
+          }
+          [[fallthrough]];
+        case Phase::kLoad: {
+          value = p_->load(std::memory_order_relaxed);
+          const Cycle lat =
+              ctx_.load_effects(reinterpret_cast<std::uint64_t>(p_));
+          phase_ = Phase::kRelaxFault;
+          return {ctx_.now() + lat, done_(value)};
+        }
+        case Phase::kRelaxFault:
+          if (const Cycle until = ctx_.stall_effects()) {
+            phase_ = Phase::kRelax;
+            return {until, false};
+          }
+          [[fallthrough]];
+        case Phase::kRelax:
+          ctx_.busy_effects(1, Bucket::kSpin, kRelaxName);
+          phase_ = Phase::kLoadFault;
+          return {ctx_.now() + 1, false};
+      }
+      __builtin_unreachable();
+    }
+
+    T value{};
+
+   private:
+    enum class Phase : std::uint8_t { kLoadFault, kLoad, kRelaxFault, kRelax };
+    SimCtx& ctx_;
+    const std::atomic<T>* p_;
+    Done& done_;
+    Phase phase_ = Phase::kLoadFault;
+  };
+
   void vlink_pop_impl(std::uint32_t ch, std::uint64_t* out, std::size_t n,
                       Bucket wait_bucket, const char* name) {
     fault_stall();
@@ -360,10 +426,15 @@ class SimCtx {
   void busy_wait(Cycle cycles, Bucket bucket, const char* name) {
     if (cycles == 0) return;
     fault_stall();
+    busy_effects(cycles, bucket, name);
+    m_.sched().wait_for(cycles);
+  }
+
+  /// busy_wait's bookkeeping without the wait.
+  void busy_effects(Cycle cycles, Bucket bucket, const char* name) {
     m_.tracer().event(core_, name, now(), cycles);
     m_.core(core_).busy += cycles;
     charge(bucket, now(), now() + cycles);
-    m_.sched().wait_for(cycles);
   }
 
   /// Fault-injection hook at every operation boundary: while this core sits
@@ -374,25 +445,33 @@ class SimCtx {
   /// into every memory-op (it did not as one function, and this is called
   /// before every simulated operation).
   void fault_stall() {
-    if (!m_.faults().active()) [[likely]] return;
-    fault_stall_slow();
+    if (const Cycle until = stall_effects()) m_.sched().wait_until(until);
   }
 
-  __attribute__((noinline)) void fault_stall_slow() {
+  /// fault_stall's effects without the wait: when this core sits in an
+  /// injected preemption window, accounts the stall and returns the
+  /// window's end; otherwise returns 0.
+  Cycle stall_effects() {
+    if (!m_.faults().active()) [[likely]] return 0;
+    return preempt_effects();
+  }
+
+  __attribute__((noinline)) Cycle preempt_effects() {
     const Cycle until = m_.faults().preempt_until(core_);
     const Cycle t = now();
-    if (until > t) {
-      auto& c = m_.core(core_);
-      c.preempt_stall += until - t;
-      c.stall += until - t;
-      ++c.preemptions;
-      charge(Bucket::kPreempted, t, until);
-      m_.tracer().event(core_, "preempt", t, until - t);
-      m_.sched().wait_until(until);
-    }
+    if (until <= t) return 0;
+    auto& c = m_.core(core_);
+    c.preempt_stall += until - t;
+    c.stall += until - t;
+    ++c.preemptions;
+    charge(Bucket::kPreempted, t, until);
+    m_.tracer().event(core_, "preempt", t, until - t);
+    return until;
   }
 
-  void account_load(std::uint64_t addr) {
+  /// The bookkeeping of a load at now(); returns its latency (the caller
+  /// waits it out).
+  Cycle load_effects(std::uint64_t addr) {
     auto& c = m_.core(core_);
     ++c.mem_ops;
     const auto& p = m_.params();
@@ -418,7 +497,7 @@ class SimCtx {
     charge(Bucket::kCompute, t, t + p.issue_cost + busy_part);
     charge(Bucket::kCoherenceRead, t + p.issue_cost + busy_part,
            t + p.issue_cost + lat);
-    m_.sched().wait_for(p.issue_cost + lat);
+    return p.issue_cost + lat;
   }
 
   void account_store(std::uint64_t addr) {

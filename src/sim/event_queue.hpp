@@ -173,16 +173,25 @@ class EventQueue {
   /// Queue entries are 32-bit: either a pool-slot index (callback events)
   /// or kResumeTag | fiber id (fiber resumes, which carry no callable at
   /// all — see schedule_resume). The tag bit is what lets the scheduler's
-  /// dominant event class skip the callable pool on both ends.
+  /// dominant event class skip the callable pool on both ends. A resume
+  /// that also carries kStepTag runs the parked fiber's next wait-loop step
+  /// instead of switching into it (Scheduler::spin); the second bit lets
+  /// plain resumes skip the stepper table.
   static constexpr std::uint32_t kResumeTag = 0x8000'0000u;
+  static constexpr std::uint32_t kStepTag = 0x4000'0000u;
+  /// Fiber ids must stay below this so the tags never collide with them.
+  static constexpr std::uint32_t kMaxFibers = kStepTag;
   /// pop_entry() result when the earliest event lies past the horizon.
   static constexpr std::uint32_t kNoEvent = ~std::uint32_t{0};
 
   static bool is_resume(std::uint32_t entry) {
     return (entry & kResumeTag) != 0;
   }
+  static bool is_step(std::uint32_t entry) {
+    return (entry & kStepTag) != 0;
+  }
   static std::uint32_t resume_fiber(std::uint32_t entry) {
-    return entry & ~kResumeTag;
+    return entry & ~(kResumeTag | kStepTag);
   }
 
   /// Schedules `cb` to fire at absolute time `t`. A `t` earlier than the
@@ -207,11 +216,12 @@ class EventQueue {
   /// Schedules a fiber resume at absolute time `t`. The entry IS the fiber
   /// id (tagged) — no callable is constructed, stored, moved, or invoked,
   /// which matters because resumes are the engine's dominant event class.
-  /// Resume entries are only popped via pop_entry(); pop_until()/pop() must
-  /// not be used on a queue that holds them.
-  void schedule_resume(Cycle t, std::uint32_t fiber_id) {
+  /// `step` tags it as a wait-loop step (kStepTag). Resume entries are only
+  /// popped via pop_entry(); pop_until()/pop() must not be used on a queue
+  /// that holds them.
+  void schedule_resume(Cycle t, std::uint32_t fiber_id, bool step = false) {
     if (t < floor_) t = floor_;
-    place(t, kResumeTag | fiber_id);
+    place(t, kResumeTag | (step ? kStepTag : 0u) | fiber_id);
   }
 
   bool empty() const { return size_ == 0; }

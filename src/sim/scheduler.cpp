@@ -5,7 +5,9 @@ namespace hmps::sim {
 Scheduler::FiberId Scheduler::spawn(std::function<void()> fn, Cycle start,
                                     std::size_t stack_bytes) {
   const FiberId id = static_cast<FiberId>(fibers_.size());
+  assert(id < EventQueue::kMaxFibers);
   fibers_.push_back(std::make_unique<Fiber>(std::move(fn), stack_bytes));
+  steppers_.push_back(nullptr);
   schedule_resume(id, start);
   return id;
 }
@@ -14,10 +16,6 @@ void Scheduler::schedule_resume(FiberId id, Cycle t) {
   if (perturber_ != nullptr) [[unlikely]] {
     t += perturber_->resume_delay(id, t);
   }
-  schedule_resume_at(id, t);
-}
-
-void Scheduler::schedule_resume_at(FiberId id, Cycle t) {
   queue_.schedule_resume(t, id);
 }
 
@@ -33,11 +31,17 @@ Cycle Scheduler::run(Cycle horizon) {
     }
     now_ = t;
     if (EventQueue::is_resume(e)) {
-      Fiber& f = *fibers_[EventQueue::resume_fiber(e)];
-      if (f.finished()) continue;  // resume raced the fiber's exit
+      const FiberId id = EventQueue::resume_fiber(e);
+      // A stepping fiber is parked, never finished; most of its entries
+      // end in run_steps without touching the fiber at all.
+      if (EventQueue::is_step(e)) {
+        if (!run_steps(id)) continue;
+      } else if (fibers_[id]->finished()) {
+        continue;  // resume raced the fiber's exit
+      }
       const FiberId prev = current_;
-      current_ = EventQueue::resume_fiber(e);
-      f.resume();
+      current_ = id;
+      fibers_[id]->resume();
       current_ = prev;
     } else {
       EventQueue::Callback cb = queue_.claim(e);
@@ -47,9 +51,7 @@ Cycle Scheduler::run(Cycle horizon) {
   return now_;
 }
 
-void Scheduler::wait_until(Cycle t) {
-  assert(in_fiber());
-  const FiberId id = current_;
+bool Scheduler::advance(FiberId id, Cycle t, bool step) {
   if (t < now_) t = now_;
   if (perturber_ != nullptr) [[unlikely]] {
     t += perturber_->resume_delay(id, t);
@@ -62,11 +64,46 @@ void Scheduler::wait_until(Cycle t) {
   if (fast_forward_enabled_ && !stop_requested_ && t <= horizon_ &&
       queue_.fast_forward(t)) {
     now_ = t;
-    return;
+    return true;
   }
-  Fiber& f = *fibers_[id];
-  schedule_resume_at(id, t);  // perturber already applied above
-  park_and_dispatch(f);
+  queue_.schedule_resume(t, id, step);
+  return false;
+}
+
+void Scheduler::wait_until(Cycle t) {
+  assert(in_fiber());
+  const FiberId id = current_;
+  if (!advance(id, t, /*step=*/false)) park_and_dispatch(*fibers_[id]);
+}
+
+void Scheduler::spin(Stepper& s) {
+  assert(in_fiber());
+  const FiberId id = current_;
+  // Steps whose waits fast-forward run right here, on the fiber's stack.
+  for (;;) {
+    const Stepper::Wait w = s.step();
+    if (w.last) {
+      wait_until(w.until);
+      return;
+    }
+    if (!advance(id, w.until, /*step=*/true)) break;
+  }
+  steppers_[id] = &s;
+  park_and_dispatch(*fibers_[id]);
+}
+
+bool Scheduler::run_steps(FiberId id) {
+  Stepper& s = *steppers_[id];
+  const FiberId prev = current_;
+  current_ = id;  // the step acts for the parked fiber
+  Stepper::Wait w;
+  bool fast_forwarded;
+  do {
+    w = s.step();
+    fast_forwarded = advance(id, w.until, /*step=*/!w.last);
+  } while (fast_forwarded && !w.last);
+  current_ = prev;
+  return fast_forwarded;  // only a fast-forwarded last wait gets here true
 }
 
 void Scheduler::park_and_dispatch(Fiber& f) {
@@ -77,9 +114,18 @@ void Scheduler::park_and_dispatch(Fiber& f) {
       const std::uint32_t e = queue_.pop_resume(horizon_, &t);
       if (e == EventQueue::kNoEvent) break;  // callback next, or past horizon
       now_ = t;
-      Fiber& nf = *fibers_[EventQueue::resume_fiber(e)];
-      if (nf.finished()) continue;  // stale resume, same skip as the run loop
-      current_ = EventQueue::resume_fiber(e);
+      const FiberId id = EventQueue::resume_fiber(e);
+      if (EventQueue::is_step(e)) {
+        if (!run_steps(id)) continue;
+      } else if (fibers_[id]->finished()) {
+        continue;  // stale resume, same skip as the run loop
+      }
+      current_ = id;
+      Fiber& nf = *fibers_[id];
+      if (&nf == &f) {  // this fiber's own wait ended first: no switch
+        f.set_state(Fiber::State::kRunning);
+        return;
+      }
       f.switch_to(nf);
       return;
     }

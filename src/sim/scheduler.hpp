@@ -17,6 +17,23 @@
 
 namespace hmps::sim {
 
+/// A fiber's wait loop, cut into steps the scheduler can run without
+/// switching into the fiber (Scheduler::spin). Each step applies the
+/// effects of one operation at the current time and returns the wait that
+/// follows it. The object lives on the parked fiber's stack, so its state
+/// must stay valid until spin() returns.
+class Stepper {
+ public:
+  struct Wait {
+    Cycle until;  ///< absolute end of the wait (clamped to now)
+    bool last;    ///< the fiber itself resumes when this wait ends
+  };
+  virtual Wait step() = 0;
+
+ protected:
+  ~Stepper() = default;
+};
+
 class Scheduler {
  public:
   using FiberId = std::uint32_t;
@@ -82,6 +99,17 @@ class Scheduler {
   /// Blocks the current fiber for `d` cycles.
   void wait_for(Cycle d) { wait_until(now_ + d); }
 
+  /// Runs `s` as the current fiber's wait loop. Observably the same as
+  ///   for (;;) { w = s.step(); wait_until(w.until); if (w.last) break; }
+  /// — the same perturber calls, fast-forwards and queue entries in the
+  /// same order — but once a wait has to go through the queue the fiber
+  /// parks, and the steps that follow run on whichever stack pops the
+  /// fiber's step entries (the run loop or another fiber's
+  /// park_and_dispatch). The fiber is switched back in only for the last
+  /// wait, so a poll loop costs no fiber switch per iteration
+  /// (docs/ENGINE.md, "Scheduler-side spin stepping").
+  void spin(Stepper& s);
+
   /// Blocks the current fiber indefinitely; resume via wake().
   void suspend();
 
@@ -104,16 +132,29 @@ class Scheduler {
 
  private:
   void schedule_resume(FiberId id, Cycle t);     // applies the perturber
-  void schedule_resume_at(FiberId id, Cycle t);  // exact time, no perturb
+
+  /// The one wait primitive behind wait_until() and spin(): applies the
+  /// perturber delay to fiber `id`'s wait until `t`, then either
+  /// fast-forwards the clock there (returns true) or schedules the fiber's
+  /// resume — a step entry when `step` — at that time (returns false).
+  bool advance(FiberId id, Cycle t, bool step);
+
+  /// Runs parked fiber `id`'s stepper at now() (its step entry just
+  /// popped) until a step's wait is scheduled (returns false) or the last
+  /// wait fast-forwards (returns true: the fiber resumes now).
+  bool run_steps(FiberId id);
 
   /// Parks fiber `f` (the one currently running). If the next event due is
   /// another fiber's resume, switches straight into it — one context switch
   /// instead of the yield-to-scheduler + resume pair — repeating the run
   /// loop's skip of finished fibers; otherwise yields to the run loop.
+  /// Step entries popped on the way run in place (run_steps), and `f`'s
+  /// own resume simply returns: there is nothing to switch to.
   void park_and_dispatch(Fiber& f);
 
   EventQueue queue_;
   std::vector<std::unique_ptr<Fiber>> fibers_;
+  std::vector<Stepper*> steppers_;  ///< per fiber; set while parked in spin()
   Cycle now_ = 0;
   Cycle horizon_ = kCycleMax;  ///< run() window; bounds the wait fast path
   FiberId current_ = kNoFiber;

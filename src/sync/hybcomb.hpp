@@ -248,9 +248,11 @@ class HybComb {
   /// detecting a stalled one (Options::stall_timeout).
   void spin_combining_done(Ctx& ctx, Node* pred, SyncStats& st) {
     if (opts_.stall_timeout == 0) {
-      while (!ctx.load(&pred->combining_done)) ctx.cpu_relax();
+      ctx.spin_until(&pred->combining_done,
+                     [](std::uint64_t d) { return d != 0; });
       return;
     }
+    // Literal loop: whether an iteration relaxes or backs off depends on now().
     Cycle t0 = ctx.now();
     while (!ctx.load(&pred->combining_done)) {
       if (ctx.now() - t0 >= opts_.stall_timeout) {
@@ -269,6 +271,7 @@ class HybComb {
   /// is free. Liveness: the active combiner's registrants release credits
   /// as they are served, so the combiner is never starved of requests.
   void acquire_credit(Ctx& ctx, Node* node, SyncStats& st) {
+    // Literal loop: it ends on a won CAS, not on a loaded value.
     for (;;) {
       const std::uint64_t cur = ctx.load(&node->inflight);
       if (cur < opts_.max_inflight &&
@@ -449,6 +452,7 @@ class HybComb {
   /// combiner's reply sends on small buffers).
   void acquire_credit_draining(Ctx& ctx, Node* node, SyncStats& st,
                                AsyncSt& a) {
+    // Literal loop: it ends on a won CAS and drains replies meanwhile.
     for (;;) {
       const std::uint64_t cur = ctx.load(&node->inflight);
       if (cur < opts_.max_inflight &&

@@ -34,7 +34,7 @@ class TtasLock {
  public:
   void lock(Ctx& ctx) {
     for (;;) {
-      while (ctx.load(&flag_) != 0) ctx.cpu_relax();
+      ctx.spin_until(&flag_, [](std::uint64_t f) { return f == 0; });
       if (ctx.exchange(&flag_, std::uint64_t{1}) == 0) return;
     }
   }
@@ -51,7 +51,7 @@ class TicketLock {
   void lock(Ctx& ctx) {
     const std::uint64_t t = ctx.faa(&next_, 1);
     tickets_[ctx.tid()].v = t;
-    while (ctx.load(&serving_) != t) ctx.cpu_relax();
+    ctx.spin_until(&serving_, [t](std::uint64_t s) { return s == t; });
   }
   void unlock(Ctx& ctx) {
     ctx.store(&serving_, tickets_[ctx.tid()].v + 1);
@@ -77,7 +77,7 @@ class McsLock {
     if (pred != nullptr) {
       ctx.store(&my->locked, std::uint64_t{1});
       ctx.store(&pred->next, rt::to_word(my));
-      while (ctx.load(&my->locked)) ctx.cpu_relax();
+      ctx.spin_until(&my->locked, [](std::uint64_t l) { return l == 0; });
     }
   }
 
@@ -85,7 +85,7 @@ class McsLock {
     QNode* my = &nodes_[ctx.tid()];
     if (ctx.load(&my->next) == 0) {
       if (ctx.cas(&tail_, rt::to_word(my), std::uint64_t{0})) return;
-      while (ctx.load(&my->next) == 0) ctx.cpu_relax();
+      ctx.spin_until(&my->next, [](std::uint64_t n) { return n != 0; });
     }
     QNode* next = rt::from_word<QNode>(ctx.load(&my->next));
     ctx.store(&next->locked, std::uint64_t{0});
@@ -122,7 +122,7 @@ class ClhLock {
     ctx.store(&my->locked, std::uint64_t{1});
     QNode* pred = rt::from_word<QNode>(ctx.exchange(&tail_, rt::to_word(my)));
     mine_[tid].pred = pred;
-    while (ctx.load(&pred->locked)) ctx.cpu_relax();
+    ctx.spin_until(&pred->locked, [](std::uint64_t l) { return l == 0; });
   }
 
   void unlock(Ctx& ctx) {

@@ -184,6 +184,7 @@ class MpServer {
   /// Spin (through shared memory, so no message-buffer pressure) until an
   /// in-flight credit is free, then claim it with CAS.
   void acquire_credit(Ctx& ctx, SyncStats& st) {
+    // Literal loop: it ends on a won CAS, not on a loaded value.
     for (;;) {
       const std::uint64_t cur = ctx.load(&inflight_);
       if (cur < max_inflight_ && ctx.cas(&inflight_, cur, cur + 1)) return;
@@ -198,6 +199,7 @@ class MpServer {
   /// thread whose unreaped tickets hold every credit would spin forever —
   /// the self-deadlock discussed in docs/MODEL.md §9.
   void acquire_credit_draining(Ctx& ctx, SyncStats& st, AsyncSt& a) {
+    // Literal loop: it ends on a won CAS and drains replies meanwhile.
     for (;;) {
       const std::uint64_t cur = ctx.load(&inflight_);
       if (cur < max_inflight_ && ctx.cas(&inflight_, cur, cur + 1)) return;

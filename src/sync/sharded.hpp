@@ -477,6 +477,7 @@ class ShardedServer {
   }
 
   void acquire_credit(Ctx& ctx, SyncStats& st, std::uint32_t s) {
+    // Literal loop: it ends on a won CAS, not on a loaded value.
     for (;;) {
       const std::uint64_t cur = ctx.load(&inflight_[s].v);
       if (cur < max_inflight_ && ctx.cas(&inflight_[s].v, cur, cur + 1)) {
@@ -493,6 +494,7 @@ class ShardedServer {
   /// of shard `s` would spin forever (docs/MODEL.md §9).
   void acquire_credit_draining(Ctx& ctx, SyncStats& st, ClientSt& c,
                                std::uint32_t s) {
+    // Literal loop: it ends on a won CAS and drains replies meanwhile.
     for (;;) {
       const std::uint64_t cur = ctx.load(&inflight_[s].v);
       if (cur < max_inflight_ && ctx.cas(&inflight_[s].v, cur, cur + 1)) {

@@ -209,6 +209,7 @@ class VlinkServer {
   }
 
   void acquire_credit(Ctx& ctx, SyncStats& st) {
+    // Literal loop: it ends on a won CAS, not on a loaded value.
     for (;;) {
       const std::uint64_t cur = ctx.load(&inflight_);
       if (cur < max_inflight_ && ctx.cas(&inflight_, cur, cur + 1)) return;
@@ -222,6 +223,7 @@ class VlinkServer {
   /// thread whose unreaped tickets hold every credit spins forever
   /// (docs/MODEL.md §9).
   void acquire_credit_draining(Ctx& ctx, SyncStats& st, AsyncSt& a) {
+    // Literal loop: it ends on a won CAS and drains replies meanwhile.
     for (;;) {
       const std::uint64_t cur = ctx.load(&inflight_);
       if (cur < max_inflight_ && ctx.cas(&inflight_, cur, cur + 1)) return;

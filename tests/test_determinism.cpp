@@ -12,17 +12,22 @@
 // assignment, so they deliberately do not cover coherence-model timings.
 // (Those used to be ASLR-dependent — homes were hashed from host pointer
 // addresses; they are now hashed from dense first-touch line ids and are
-// reproducible across processes.)
+// reproducible across processes.) The run-entry fingerprints at the end of
+// this file do cover them.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include "arch/params.hpp"
 #include "arch/topology.hpp"
 #include "arch/udn.hpp"
+#include "harness/service.hpp"
+#include "harness/workload.hpp"
+#include "obs/metrics.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 
@@ -457,6 +462,85 @@ TEST(EngineCounters, LoneFiberWaitsFastForward) {
   EXPECT_EQ(c.scheduled, 1u);  // the spawn resume only
   EXPECT_EQ(c.executed, 1u);
   EXPECT_EQ(c.fast_forwards, 100u);
+}
+
+// ---------------------------------------------------------------------------
+// Run-entry fingerprints: FNV-1a of the hmps-metrics-v2 run entry (config,
+// results, machine/engine/coherence counters, cycle accounts, sync stats)
+// of short harness runs of the spinning constructions. The entry carries no
+// argv or git stamp; those live at the document root. The constants were
+// captured before client poll loops became scheduler-side steps
+// (Scheduler::spin, docs/ENGINE.md) and must never be regenerated to make
+// a change pass: a different fingerprint means the simulation changed.
+// ---------------------------------------------------------------------------
+
+std::uint64_t fnv1a(const std::string& s) {
+  Fp fp;
+  for (const unsigned char c : s) fp.mix(c);
+  return fp.h;
+}
+
+harness::RunCfg fingerprint_cfg(std::uint32_t threads,
+                                obs::MetricsRegistry* reg) {
+  harness::RunCfg cfg;
+  cfg.app_threads = threads;
+  cfg.warmup = 5'000;
+  cfg.window = 25'000;
+  cfg.reps = 2;
+  cfg.seed = 7;
+  cfg.obs.metrics = reg;
+  cfg.obs.label = "fp";
+  return cfg;
+}
+
+std::uint64_t counter_entry_fp(harness::Approach a, std::uint32_t threads) {
+  obs::MetricsRegistry reg;
+  reg.stamp("fingerprint", 0, nullptr);
+  harness::run_counter(fingerprint_cfg(threads, &reg), a);
+  return fnv1a(reg.root()["runs"].items().at(0).dump());
+}
+
+struct CounterGold {
+  harness::Approach approach;
+  std::uint32_t threads;
+  std::uint64_t fp;
+};
+
+TEST(RunEntryFingerprint, SpinningCounterRuns) {
+  using harness::Approach;
+  const CounterGold gold[] = {
+      {Approach::kShmServer, 4, 2861645310208988237ull},
+      {Approach::kShmServer, 12, 6079810376367246715ull},
+      {Approach::kCcSynch, 4, 12349187555000296466ull},
+      {Approach::kCcSynch, 12, 14490054338664678163ull},
+      {Approach::kHybComb, 4, 17634223178012986927ull},
+      {Approach::kHybComb, 12, 10945188341614211464ull},
+      {Approach::kMcsLock, 4, 6086232006296994025ull},
+      {Approach::kMcsLock, 12, 16297189253389995909ull},
+      {Approach::kClhLock, 4, 13179275485405188992ull},
+      {Approach::kClhLock, 12, 7709605816559109589ull},
+      {Approach::kTicketLock, 4, 15713362015472673762ull},
+      {Approach::kTicketLock, 12, 12608154538904985084ull},
+      {Approach::kTtasLock, 4, 15951468878560224161ull},
+      {Approach::kTtasLock, 12, 10840454658755876952ull},
+  };
+  for (const CounterGold& g : gold) {
+    EXPECT_EQ(counter_entry_fp(g.approach, g.threads), g.fp)
+        << harness::approach_name(g.approach) << " @ " << g.threads;
+  }
+}
+
+TEST(RunEntryFingerprint, ShmServerServiceRun) {
+  obs::MetricsRegistry reg;
+  reg.stamp("fingerprint", 0, nullptr);
+  harness::ServiceCfg cfg;
+  cfg.base = fingerprint_cfg(0, &reg);
+  cfg.sessions = 6;
+  cfg.offered_mops = 6.0;
+  cfg.arrival = harness::ArrivalModel::kMmpp;
+  harness::run_service(cfg, harness::Approach::kShmServer);
+  EXPECT_EQ(fnv1a(reg.root()["runs"].items().at(0).dump()),
+            4662152220726991398ull);
 }
 
 }  // namespace
