@@ -7,9 +7,10 @@
 //   udn_pingpong  — two-core message round trips/sec (send+receive both ways)
 //   udn_flood     — many-to-one messages/sec with link contention modelled
 //   spin_wait     — simulated poll iterations/sec: fibers spin on their own
-//                   lines (SimCtx::spin_until) while one writer flips them;
-//                   spin_literal runs the same simulation with the
-//                   hand-written load/cpu_relax loop, and both also print
+//                   lines (SimCtx::spin_until, hit polls asleep and charged
+//                   in bulk) while one writer flips them; spin_literal runs
+//                   the same workload with the hand-written load/cpu_relax
+//                   loop, one fiber switch per poll, and both also print
 //                   host ns per poll iteration
 //
 // Usage: engine_micro [--smoke] [--json FILE]
@@ -165,8 +166,10 @@ Result udn_flood(std::uint64_t messages) {
 // kSpinners threads each wait for successive generations on their own cache
 // line; a writer thread bumps the lines round-robin with a little compute in
 // between, so most of the simulation is poll iterations (a load plus a
-// cpu_relax). Both variants simulate exactly the same machine, so the ratio
-// of their rates is the host cost of a fiber switch per poll.
+// cpu_relax). The variants simulate the same machine up to the order of
+// same-cycle ties (spin_until's polls run last in their cycle, docs/MODEL.md
+// §1), so the ratio of their rates is the host cost of a fiber switch and
+// an event per poll, against polls that sleep until their line is written.
 #ifndef ENGINE_MICRO_SEED
 template <bool kLiteral>
 Result spin_wait(std::uint64_t generations) {

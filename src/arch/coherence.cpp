@@ -1,12 +1,25 @@
 #include "arch/coherence.hpp"
 
 #include <bit>
+#include <cstdio>
+#include <cstdlib>
 
 namespace hmps::arch {
 
 namespace {
 constexpr std::uint64_t bit(Tid c) { return std::uint64_t{1} << (c % 64); }
 }  // namespace
+
+unsigned CoherenceModel::line_shift(std::uint32_t line_bytes) {
+  if (!std::has_single_bit(line_bytes)) [[unlikely]] {
+    std::fprintf(stderr,
+                 "hmps fatal: CoherenceModel: line_bytes %u is not a power "
+                 "of two\n",
+                 static_cast<unsigned>(line_bytes));
+    std::abort();
+  }
+  return static_cast<unsigned>(std::countr_zero(line_bytes));
+}
 
 Cycle CoherenceModel::inval_cost(std::uint64_t sharers, Tid except) {
   const int n = std::popcount(sharers & ~bit(except));

@@ -42,7 +42,8 @@ struct AccessCost {
 class CoherenceModel {
  public:
   CoherenceModel(const MachineParams& p, const MeshTopology& topo)
-      : p_(p), topo_(topo), combining_(p, topo) {
+      : p_(p), topo_(topo), line_shift_(line_shift(p.line_bytes)),
+        combining_(p, topo) {
     keys_.assign(kInitialCap, kEmptyKey);
     slots_.resize(kInitialCap);
     mask_ = kInitialCap - 1;
@@ -82,8 +83,12 @@ class CoherenceModel {
   }
 
   std::uint64_t line_of(std::uint64_t addr) const {
-    return addr / p_.line_bytes;
+    return addr >> line_shift_;
   }
+
+  /// Counts `n` cache hits whose accesses were applied in bulk (a sleeping
+  /// poller's loads, SimCtx::hit_polls).
+  void count_hits(std::uint64_t n) { counters_.hits += n; }
 
   // --- event counters (global; reset per measurement window) ---
   struct Counters {
@@ -203,6 +208,9 @@ class CoherenceModel {
 
   Cycle inval_cost(std::uint64_t sharers, Tid except);
 
+  /// log2(line_bytes); aborts with "hmps fatal" unless it is a power of two.
+  static unsigned line_shift(std::uint32_t line_bytes);
+
   static constexpr std::size_t kInitialCap = 1024;  ///< power of two
   /// Host pointers are never within a line of the address-space top, so no
   /// real line number collides with the empty-slot sentinel.
@@ -210,6 +218,7 @@ class CoherenceModel {
 
   const MachineParams& p_;
   const MeshTopology& topo_;
+  unsigned line_shift_;  ///< line_of is a shift, not a 64-bit divide
   CoherenceProfiler* prof_ = nullptr;
   std::vector<std::uint64_t> keys_;  ///< open-addressing key array
   std::vector<Line> slots_;          ///< values, parallel to keys_

@@ -67,8 +67,10 @@ class Machine {
 
   /// Zeroes all per-window counters (core accounting + model counters)
   /// without touching functional state, so a measurement can start after
-  /// warmup.
+  /// warmup. Like the account readers below it first applies sleeping
+  /// pollers' polls due before now (Scheduler::catch_up_sleepers).
   void reset_window_counters() {
+    sched_.catch_up_sleepers();
     for (auto& c : cores_) c.reset_window(sched_.now());
     coh_.reset_counters();
     udn_.reset_counters();
@@ -79,6 +81,7 @@ class Machine {
   /// time, so per-core buckets sum to elapsed cycles. Call before reading
   /// accounts at a window boundary.
   void settle_accounts() {
+    sched_.catch_up_sleepers();
     const sim::Cycle t = sched_.now();
     for (auto& c : cores_) c.account.settle(t);
   }
@@ -91,6 +94,7 @@ class Machine {
   /// idle-filled — under-counting idle on cores that went quiet, and
   /// leaving a never-worked core's account empty instead of all-idle.
   void finalize_accounts(sim::Cycle run_end) {
+    sched_.catch_up_sleepers();
     const sim::Cycle t = run_end > sched_.now() ? run_end : sched_.now();
     for (auto& c : cores_) c.account.finalize(t);
   }

@@ -176,6 +176,7 @@ RunResult run_service(const ServiceCfg& cfg, Approach a) {
   const Cycle t_end = base.warmup + measure;
 
   SimExecutor ex(base.machine, base.seed);
+  ex.sched().set_poll_elision_enabled(base.poll_elision);
   if (base.faults.enabled()) ex.machine().install_faults(base.faults);
   const bool tracing = base.obs.trace != nullptr;
   if (tracing) {
@@ -317,7 +318,7 @@ RunResult run_service(const ServiceCfg& cfg, Approach a) {
   };
 
   auto record = [&](Cycle t_arr, Cycle t_disp, Cycle t_done) {
-    if (t_done < t_meas0) return;
+    if (t_done <= t_meas0) return;  // run_until(warmup) ran it
     sojourn.add(t_done - t_arr);
     queue_delay.add(static_cast<double>(t_disp - t_arr));
     service_time.add(static_cast<double>(t_done - t_disp));
@@ -415,7 +416,7 @@ RunResult run_service(const ServiceCfg& cfg, Approach a) {
     const std::uint32_t sess = static_cast<std::uint32_t>(gen.below(nsess));
     const std::uint32_t obj_i = zipf.sample(gen.uniform());
     const bool alt = gen.below(100) >= mix[sess];
-    if (t >= t_meas0) ++offered_n;
+    if (t > t_meas0) ++offered_n;  // t_meas0 itself runs in warmup
     auto& q = pend[sess];
     bool admitted = true;
     if (q.size() >= cfg.queue_cap) {
@@ -429,7 +430,7 @@ RunResult run_service(const ServiceCfg& cfg, Approach a) {
     }
     if (admitted) {
       q.push_back(Arrival{t, obj_i, alt});
-      if (t >= t_meas0) ++admitted_n;
+      if (t > t_meas0) ++admitted_n;
       if (waiting[sess]) {
         waiting[sess] = 0;
         ex.sched().wake(sfid[sess], t);
@@ -572,6 +573,7 @@ RunResult run_service_sharded(const ServiceCfg& cfg) {
   const Cycle t_end = base.warmup + measure;
 
   SimExecutor ex(base.machine, base.seed);
+  ex.sched().set_poll_elision_enabled(base.poll_elision);
   if (base.faults.enabled()) ex.machine().install_faults(base.faults);
   const bool tracing = base.obs.trace != nullptr;
   if (tracing) {
@@ -648,7 +650,7 @@ RunResult run_service_sharded(const ServiceCfg& cfg) {
   };
 
   auto record = [&](Cycle t_arr, Cycle t_disp, Cycle t_done) {
-    if (t_done < t_meas0) return;
+    if (t_done <= t_meas0) return;  // run_until(warmup) ran it
     sojourn.add(t_done - t_arr);
     queue_delay.add(static_cast<double>(t_disp - t_arr));
     service_time.add(static_cast<double>(t_done - t_disp));
@@ -723,7 +725,7 @@ RunResult run_service_sharded(const ServiceCfg& cfg) {
     const std::uint32_t sess = static_cast<std::uint32_t>(gen.below(nsess));
     const std::uint32_t obj_i = zipf.sample(gen.uniform());
     const bool alt = gen.below(100) >= mix[sess];
-    if (t >= t_meas0) ++offered_n;
+    if (t > t_meas0) ++offered_n;  // t_meas0 itself runs in warmup
     auto& q = pend[sess];
     bool admitted = true;
     if (q.size() >= cfg.queue_cap) {
@@ -736,7 +738,7 @@ RunResult run_service_sharded(const ServiceCfg& cfg) {
     }
     if (admitted) {
       q.push_back(Arrival{t, obj_i, alt});
-      if (t >= t_meas0) ++admitted_n;
+      if (t > t_meas0) ++admitted_n;
       if (waiting[sess]) {
         waiting[sess] = 0;
         ex.sched().wake(sfid[sess], t);

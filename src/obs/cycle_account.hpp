@@ -71,6 +71,24 @@ class CycleAccount {
     mark_ = end;
   }
 
+  /// Same as charging, in order, for i in [0, n): `a` over [s + i*p,
+  /// s + i*p + la) and then, for i < nb, `b` over the next `lb` cycles,
+  /// where p = la + lb and nb is n or n - 1. O(1): after the interval that
+  /// crosses the watermark every charge lands right on it.
+  void charge_periodic(Bucket a, Cycle la, Bucket b, Cycle lb, Cycle s,
+                       Cycle n, Cycle nb) {
+    if (n == 0) return;
+    const Cycle p = la + lb;
+    const Cycle end = s + (n - 1) * p + la + (nb == n ? lb : 0);
+    charge(a, s, s);  // idle-fills up to s
+    if (end <= mark_) return;
+    const Cycle done = mark_ - s;  // cycles of the run already accounted
+    const Cycle q = done / p, r = done % p;
+    b_[a] += n * la - (q * la + (r < la ? r : la));
+    b_[b] += nb * lb - (q * lb + (r > la ? r - la : 0));
+    mark_ = end;
+  }
+
   /// Accounts the tail [mark, now) as idle so total() == now - origin.
   /// Call at window boundaries before reading the buckets.
   void settle(Cycle now) {

@@ -89,6 +89,9 @@ void Telemetry::flush(sim::Cycle t_end) {
 }
 
 void Telemetry::close_window(sim::Cycle t) {
+  // A tick is an ordinary event, so sleeping pollers' polls before it are
+  // exactly the ones that would have run already.
+  m_.sched().catch_up_sleepers();
   Window w;
   w.end = t;
   const std::uint32_t n = m_.cores();

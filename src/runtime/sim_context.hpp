@@ -64,9 +64,14 @@ class SimCtx {
   /// Polls `*p` until `done(value)` holds and returns that value, with
   /// exactly the effects and timing of
   ///   for (;;) { v = load(p); if (done(v)) return v; cpu_relax(); }
-  /// The iterations run as sim::Scheduler steps while this fiber stays
-  /// parked, so a poll costs no fiber switch (docs/MODEL.md §1). `done`
-  /// must be a pure function of the loaded value: it runs at the load, on
+  /// where each poll runs last in its cycle (docs/MODEL.md §1). The
+  /// iterations run as sim::Scheduler steps while this fiber stays parked,
+  /// so a poll costs no fiber switch. Once a poll hits in the cache without
+  /// satisfying `done`, every later poll repeats it until some core writes
+  /// the line, so the poller sleeps until that write and its polls are
+  /// charged in bulk (docs/ENGINE.md, "Poll elision"). Hence `done` must be
+  /// a pure function of the loaded value, and `*p` may only be written
+  /// through a SimCtx while anyone polls it. `done` runs at the load, on
   /// whichever stack the scheduler is dispatching from.
   template <class T, class Done>
   T spin_until(const std::atomic<T>* p, Done done) {
@@ -314,6 +319,9 @@ class SimCtx {
     assert(m_.udn().queue_empty(core_, queue_) &&
            "migrate with pending messages");
     compute(cost);
+    // A sleeping poller must be alone on its core (may_sleep); wake them
+    // all rather than track which core gains a thread.
+    m_.sched().notify_all();
     core_ = new_core;
     queue_ = new_queue;
     (*placements_)[tid_] = Placement{new_core, new_queue};
@@ -341,10 +349,16 @@ class SimCtx {
           [[fallthrough]];
         case Phase::kLoad: {
           value = p_->load(std::memory_order_relaxed);
-          const Cycle lat =
-              ctx_.load_effects(reinterpret_cast<std::uint64_t>(p_));
+          const auto addr = reinterpret_cast<std::uint64_t>(p_);
+          bool hit;
+          const Cycle until = ctx_.now() + ctx_.load_effects(addr, &hit);
           phase_ = Phase::kRelaxFault;
-          return {ctx_.now() + lat, done_(value)};
+          if (done_(value)) return {until, true};
+          if (hit && ctx_.may_sleep()) {
+            next_ = until;  // the relax
+            return {until, false, ctx_.m_.coherence().line_of(addr)};
+          }
+          return {until, false};
         }
         case Phase::kRelaxFault:
           if (const Cycle until = ctx_.stall_effects()) {
@@ -360,6 +374,15 @@ class SimCtx {
       __builtin_unreachable();
     }
 
+    /// Asleep after a hit: every poll until the line is written hits and
+    /// loads the same value, so the polls before `t` are applied in bulk.
+    Cycle catch_up(Cycle t) override {
+      bool relax = phase_ == Phase::kRelaxFault;
+      next_ = ctx_.hit_polls(next_, &relax, t);
+      phase_ = relax ? Phase::kRelaxFault : Phase::kLoadFault;
+      return next_;
+    }
+
     T value{};
 
    private:
@@ -368,7 +391,50 @@ class SimCtx {
     const std::atomic<T>* p_;
     Done& done_;
     Phase phase_ = Phase::kLoadFault;
+    Cycle next_ = 0;  ///< while asleep: time of the next poll phase
   };
+
+  /// Whether a spin_until poller may sleep: the scheduler allows it, no
+  /// observer wants every poll (tracer, fault plan, hot-line profiler), and
+  /// no other thread shares this core, whose cycle account would otherwise
+  /// see the bulk-applied polls out of order.
+  bool may_sleep() const {
+    if (!m_.sched().may_sleep() || m_.tracer().enabled() ||
+        m_.faults().active() || m_.coherence().profiler() != nullptr) {
+      return false;
+    }
+    std::uint32_t here = 0;
+    for (const Placement& p : *placements_) here += p.core == core_;
+    return here == 1;
+  }
+
+  /// Applies in bulk the polls of a sleeping spin_until strictly before
+  /// `t`: hit loads and relaxes alternating from `next` (a relax first iff
+  /// `*relax`). Returns the time of the next poll phase and leaves in
+  /// `*relax` whether it is a relax. Each load has exactly load_effects'
+  /// hit effects and each relax busy_effects' ones.
+  Cycle hit_polls(Cycle next, bool* relax, Cycle t) {
+    auto& c = m_.core(core_);
+    const Cycle load = m_.params().issue_cost + m_.params().l_hit;
+    const Cycle period = load + 1;
+    if (*relax && next < t) {
+      c.busy += 1;
+      charge(Bucket::kSpin, next, next + 1);
+      ++next;
+      *relax = false;
+    }
+    if (next >= t) return next;
+    const Cycle loads = (t - next + period - 1) / period;
+    const Cycle relaxes =
+        t - next > load ? (t - next - load + period - 1) / period : 0;
+    c.mem_ops += loads;
+    c.busy += loads * load + relaxes;
+    m_.coherence().count_hits(loads);
+    c.account.charge_periodic(Bucket::kCompute, load, Bucket::kSpin, 1, next,
+                              loads, relaxes);
+    *relax = relaxes < loads;
+    return next + (loads - 1) * period + (*relax ? load : period);
+  }
 
   void vlink_pop_impl(std::uint32_t ch, std::uint64_t* out, std::size_t n,
                       Bucket wait_bucket, const char* name) {
@@ -470,14 +536,16 @@ class SimCtx {
   }
 
   /// The bookkeeping of a load at now(); returns its latency (the caller
-  /// waits it out).
-  Cycle load_effects(std::uint64_t addr) {
+  /// waits it out). `*hit`, when given, says whether it was a plain cache
+  /// hit: no miss and no prefetch consumed.
+  Cycle load_effects(std::uint64_t addr, bool* hit = nullptr) {
     auto& c = m_.core(core_);
     ++c.mem_ops;
     const auto& p = m_.params();
     Cycle extra_wait = 0;
     const std::uint64_t line = m_.coherence().line_of(addr);
-    if (c.prefetch_line == line) {
+    const bool prefetched = c.prefetch_line == line;
+    if (prefetched) {
       // The prefetch already ran the coherence transaction; the load only
       // stalls for whatever latency is still outstanding.
       const Cycle t = now();
@@ -485,6 +553,7 @@ class SimCtx {
       c.prefetch_line = ~std::uint64_t{0};
     }
     const auto ac = m_.coherence().read(core_, addr, now() + extra_wait);
+    if (hit != nullptr) *hit = !ac.remote && !prefetched;
     if (ac.remote) ++c.rmr_loads;
     const Cycle lat = extra_wait + ac.latency;
     m_.tracer().event(core_, ac.remote ? "load-miss" : "load-hit", now(),
@@ -511,6 +580,7 @@ class SimCtx {
       // read (e.g. a client polling the response word) is ordered after the
       // drain rather than splitting one upgrade into two.
       m_.coherence().own_silently(core_, addr);
+      m_.sched().notify(line);
       m_.tracer().event(core_, "store-coalesced", now(), p.issue_cost);
       c.busy += p.issue_cost;
       charge(Bucket::kCompute, now(), now() + p.issue_cost);
@@ -518,6 +588,7 @@ class SimCtx {
       return;
     }
     const auto ac = m_.coherence().write(core_, addr, now());
+    m_.sched().notify(line);
     if (ac.remote) ++c.rmr_stores;
     if (ac.remote && p.posted_writes) {
       // Posted store: retires through the write buffer in the background.
@@ -553,6 +624,7 @@ class SimCtx {
     ++c.atomics;
     const auto& p = m_.params();
     const auto ac = m_.coherence().atomic(core_, addr, now(), kind);
+    m_.sched().notify(m_.coherence().line_of(addr));
     m_.tracer().event(core_, "atomic", now(), p.issue_cost + ac.latency);
     // Atomics block the core for their full round trip.
     c.busy += p.issue_cost;

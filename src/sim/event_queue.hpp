@@ -1,8 +1,13 @@
 // Deterministic discrete-event queue.
 //
-// Events are ordered by (time, insertion sequence): two events scheduled for
-// the same cycle fire in the order they were scheduled. This total order is
-// what makes whole simulations bit-reproducible across runs.
+// Events are ordered by (time, lane, key). Within a cycle every ordinary
+// entry (callbacks and plain fiber resumes, lane 0) fires before every
+// wait-loop step entry (kStepTag, lane 1). Ordinary entries fire in the
+// order they were scheduled; step entries fire by fiber id. This total
+// order is what makes whole simulations bit-reproducible across runs, and
+// the step lane is what lets a sleeping poller be woken into exactly the
+// slot it would have held had it never slept (docs/ENGINE.md, "Poll
+// elision").
 //
 // Engine hot path: every simulated cycle flows through schedule()/pop(), so
 // events avoid the heap entirely in steady state. Callbacks live inline in
@@ -155,17 +160,21 @@ class EventFn {
 /// Bucket timing wheel with an overflow heap.
 ///
 /// Near-term events (delta < kWheel cycles, i.e. essentially everything a
-/// cycle-level model schedules) go into the wheel bucket `time % kWheel` in
-/// O(1). Because simulated time is monotonic and every wheel entry satisfied
+/// cycle-level model schedules) go into the wheel bucket `time % kWheel`.
+/// Because simulated time is monotonic and every wheel entry satisfied
 /// `t - now < kWheel` when inserted, all live entries of one bucket share a
-/// single time value — so a bucket stores that time once plus a plain FIFO
-/// of 4-byte pool-slot indices, and its append order IS seq order. Far-future
-/// events go to a small 4-ary min-heap and compete with the wheel head by
-/// time at pop; on a tie the overflow entry wins, which is exactly the
-/// (time, seq) order (see pop_until), so the global total order is preserved
-/// bit-for-bit. An occupancy bitmap makes "find the next non-empty bucket" a
-/// couple of word scans, and a cached cursor to that bucket makes draining
-/// same-cycle runs of events skip the scan entirely.
+/// single time value — so a bucket stores that time once plus two lanes of
+/// 4-byte entries: a plain FIFO of ordinary entries, whose append order IS
+/// seq order (an O(1) push), and the step lane, kept sorted by fiber id (a
+/// cycle rarely holds more than a few steps). A step never schedules at the
+/// current time, so the step lane of the cycle being drained never grows.
+/// Far-future events go to a small 4-ary min-heap ordered by (time, lane,
+/// seq or fiber id) and compete with the wheel head at pop; in lane 0 a
+/// time tie goes to the overflow entry, which is exactly the seq order (see
+/// pop_entry_impl), so the global total order is preserved bit-for-bit. An
+/// occupancy bitmap makes "find the next non-empty bucket" a couple of word
+/// scans, and a cached cursor to that bucket makes draining same-cycle runs
+/// of events skip the scan entirely.
 class EventQueue {
  public:
   using Callback = EventFn;
@@ -304,6 +313,8 @@ class EventQueue {
     for (Bucket& b : buckets_) {
       b.slots.clear();
       b.head = 0;
+      b.steps.clear();
+      b.step_head = 0;
     }
     occ_.fill(0);
     overflow_.clear();
@@ -323,13 +334,19 @@ class EventQueue {
     pool_.reserve(n);
     free_slots_.reserve(n);
     if (per_bucket > 0) {
-      for (Bucket& b : buckets_) b.slots.reserve(per_bucket);
+      // Few steps share a cycle: a quarter of the ordinary lane's room.
+      for (Bucket& b : buckets_) {
+        b.slots.reserve(per_bucket);
+        b.steps.reserve((per_bucket + 3) / 4);
+      }
       overflow_.reserve(n);
     }
   }
 
   const EngineCounters& counters() const { return counters_; }
   void reset_counters() { counters_ = {}; }
+  /// Counts a wait that scheduled nothing (Scheduler::notify wakes it).
+  void count_sleep() { ++counters_.sleeps; }
 
  private:
   /// Wheel buckets per revolution. Covers every delta a cycle-level model
@@ -345,13 +362,21 @@ class EventQueue {
     std::uint32_t slot;  ///< entry: pool index or kResumeTag | fiber id
   };
 
-  /// FIFO of same-time events (pool-slot indices; the shared time is stored
-  /// once). `head` fronts the vector so steady-state drain/refill cycles
-  /// never shift or reallocate.
-  struct Bucket {
+  /// Same-time events (the shared time is stored once): the FIFO of
+  /// ordinary entries, then the step lane in fiber-id order. The heads
+  /// front the vectors so steady-state drain/refill cycles never shift or
+  /// reallocate. 32-bit heads keep a bucket to one 64-byte cache line.
+  struct alignas(64) Bucket {
     std::vector<std::uint32_t> slots;
-    std::size_t head = 0;
+    std::vector<std::uint32_t> steps;  ///< step entries, sorted by fiber id
     Cycle time = 0;  ///< time of every live entry; valid while non-empty
+    std::uint32_t head = 0;
+    std::uint32_t step_head = 0;
+
+    /// The entry this bucket fires next. Precondition: non-empty.
+    std::uint32_t front() const {
+      return head < slots.size() ? slots[head] : steps[step_head];
+    }
   };
 
   static constexpr std::size_t kNoBucket = ~std::size_t{0};
@@ -382,10 +407,10 @@ class EventQueue {
       wheel_time = buckets_[idx].time;
     }
     std::uint32_t entry;
-    if (!overflow_.empty() && overflow_.front().time <= wheel_time) {
-      // On a time tie the overflow entry fires first: it was inserted while
-      // floor_ <= t - kWheel, and floor_ is monotonic, so every wheel entry
-      // at the same time was inserted later and carries a larger seq.
+    if (!overflow_.empty() &&
+        (overflow_.front().time < wheel_time ||
+         (overflow_.front().time == wheel_time && idx != kNoBucket &&
+          overflow_first(overflow_.front(), buckets_[idx].front())))) {
       const Node o = overflow_.front();
       if (o.time > horizon) return kNoEvent;
       if constexpr (kResumeOnly) {
@@ -405,16 +430,24 @@ class EventQueue {
         return kNoEvent;
       }
       Bucket& b = buckets_[idx];
-      entry = b.slots[b.head];
+      const bool ordinary = b.head < b.slots.size();
+      entry = ordinary ? b.slots[b.head] : b.steps[b.step_head];
       if constexpr (kResumeOnly) {
         if (!is_resume(entry)) {
           cur_ = idx;
           return kNoEvent;
         }
       }
-      if (++b.head == b.slots.size()) {
-        b.slots.clear();
-        b.head = 0;
+      if (ordinary) {
+        if (++b.head == b.slots.size()) {
+          b.slots.clear();
+          b.head = 0;
+        }
+      } else if (++b.step_head == b.steps.size()) {
+        b.steps.clear();
+        b.step_head = 0;
+      }
+      if (b.slots.empty() && b.steps.empty()) {
         occ_[idx / 64] &= ~(1ull << (idx % 64));
         cur_ = kNoBucket;
       } else {
@@ -429,14 +462,29 @@ class EventQueue {
     return entry;
   }
 
+  /// Whether overflow entry `o` fires before wheel entry `w` of the same
+  /// time. Ordinary entries precede steps. Between two ordinary entries the
+  /// overflow one wins: it was inserted while floor_ <= t - kWheel, and
+  /// floor_ is monotonic, so every wheel entry at the same time was
+  /// inserted later and carries a larger seq. Between two steps the lower
+  /// fiber id wins.
+  static bool overflow_first(const Node& o, std::uint32_t w) {
+    if (is_step(o.slot) != is_step(w)) return !is_step(o.slot);
+    return !is_step(w) || resume_fiber(o.slot) < resume_fiber(w);
+  }
+
   /// Inserts `entry` (callback slot or tagged fiber id) at time `t` into
   /// the wheel or the overflow heap. Precondition: t >= floor_.
   void place(Cycle t, std::uint32_t entry) {
     if (t - floor_ < kWheel) {
       const std::size_t idx = t & (kWheel - 1);
       Bucket& b = buckets_[idx];
-      if (b.slots.size() == b.slots.capacity()) ++counters_.heap_grows;
-      b.slots.push_back(entry);
+      if (is_step(entry)) [[unlikely]] {
+        place_step(b, entry);
+      } else {
+        if (b.slots.size() == b.slots.capacity()) ++counters_.heap_grows;
+        b.slots.push_back(entry);
+      }
       b.time = t;
       occ_[idx / 64] |= 1ull << (idx % 64);
       ++wheel_count_;
@@ -455,10 +503,24 @@ class EventQueue {
     if (size_ > counters_.peak_depth) counters_.peak_depth = size_;
   }
 
-  // Strict ordering of the (time, seq) pair; seq values are unique, so this
-  // is a total order.
+  /// Inserts step entry `entry` into `b`'s step lane by fiber id. A fiber
+  /// has at most one pending entry, so ids in a lane are distinct.
+  void place_step(Bucket& b, std::uint32_t entry) {
+    if (b.steps.size() == b.steps.capacity()) ++counters_.heap_grows;
+    auto pos = b.steps.end();
+    while (pos != b.steps.begin() + static_cast<std::ptrdiff_t>(b.step_head) &&
+           resume_fiber(*(pos - 1)) > resume_fiber(entry)) {
+      --pos;
+    }
+    b.steps.insert(pos, entry);
+  }
+
+  // Strict ordering of (time, lane, seq or fiber id): seq values are unique
+  // and a fiber has at most one pending entry, so this is a total order.
   static bool earlier(const Node& a, const Node& b) {
     if (a.time != b.time) return a.time < b.time;
+    if (is_step(a.slot) != is_step(b.slot)) return !is_step(a.slot);
+    if (is_step(a.slot)) return resume_fiber(a.slot) < resume_fiber(b.slot);
     return a.seq < b.seq;
   }
 

@@ -48,6 +48,18 @@ Cycle Scheduler::run(Cycle horizon) {
       cb();
     }
   }
+  if (!sleepers_.empty()) [[unlikely]] {
+    if (stop_requested_) {
+      catch_up_sleepers(now_);  // this cycle's steps have not run yet
+    } else if (horizon != kCycleMax) {
+      // Their steps would have kept the queue busy up to the horizon, and
+      // the ones due at the horizon itself would have run.
+      now_ = horizon;
+      catch_up_sleepers(horizon + 1);
+    }
+    // With no horizon and only sleepers left the unelided engine would
+    // step forever; return instead, leaving them asleep.
+  }
   return now_;
 }
 
@@ -79,6 +91,7 @@ void Scheduler::wait_until(Cycle t) {
 void Scheduler::spin(Stepper& s) {
   assert(in_fiber());
   const FiberId id = current_;
+  steppers_[id] = &s;
   // Steps whose waits fast-forward run right here, on the fiber's stack.
   for (;;) {
     const Stepper::Wait w = s.step();
@@ -86,9 +99,12 @@ void Scheduler::spin(Stepper& s) {
       wait_until(w.until);
       return;
     }
+    if (w.watch != Stepper::kNoWatch) {
+      sleep(id, w.watch);
+      break;
+    }
     if (!advance(id, w.until, /*step=*/true)) break;
   }
-  steppers_[id] = &s;
   park_and_dispatch(*fibers_[id]);
 }
 
@@ -96,14 +112,45 @@ bool Scheduler::run_steps(FiberId id) {
   Stepper& s = *steppers_[id];
   const FiberId prev = current_;
   current_ = id;  // the step acts for the parked fiber
-  Stepper::Wait w;
-  bool fast_forwarded;
-  do {
-    w = s.step();
-    fast_forwarded = advance(id, w.until, /*step=*/!w.last);
-  } while (fast_forwarded && !w.last);
+  bool resumes = false;
+  for (;;) {
+    const Stepper::Wait w = s.step();
+    if (w.watch != Stepper::kNoWatch) {
+      sleep(id, w.watch);
+      break;
+    }
+    if (!advance(id, w.until, /*step=*/!w.last)) break;
+    if (w.last) {  // the last wait fast-forwarded: the fiber resumes now
+      resumes = true;
+      break;
+    }
+  }
   current_ = prev;
-  return fast_forwarded;  // only a fast-forwarded last wait gets here true
+  return resumes;
+}
+
+void Scheduler::sleep(FiberId id, std::uint64_t key) {
+  sleepers_.push_back(Sleeper{key, id});
+  queue_.count_sleep();
+}
+
+void Scheduler::notify_slow(std::uint64_t key, bool all) {
+  for (std::size_t i = 0; i < sleepers_.size();) {
+    const Sleeper z = sleepers_[i];
+    if (!all && z.key != key) {
+      ++i;
+      continue;
+    }
+    sleepers_[i] = sleepers_.back();
+    sleepers_.pop_back();
+    // Never perturbed: steppers only sleep with no perturber installed.
+    queue_.schedule_resume(steppers_[z.id]->catch_up(now_), z.id,
+                           /*step=*/true);
+  }
+}
+
+void Scheduler::catch_up_sleepers(Cycle t) {
+  for (const Sleeper& z : sleepers_) steppers_[z.id]->catch_up(t);
 }
 
 void Scheduler::park_and_dispatch(Fiber& f) {

@@ -22,13 +22,29 @@ namespace hmps::sim {
 /// effects of one operation at the current time and returns the wait that
 /// follows it. The object lives on the parked fiber's stack, so its state
 /// must stay valid until spin() returns.
+///
+/// A step may instead put the stepper to sleep on a watch key (Wait::watch):
+/// the scheduler then schedules nothing for it until Scheduler::notify()
+/// names that key. A sleeping stepper promises that every step it would
+/// have run is predictable and commutes with everything but a notify of its
+/// key, so catch_up() can apply any prefix of them in bulk (docs/ENGINE.md,
+/// "Poll elision").
 class Stepper {
  public:
+  static constexpr std::uint64_t kNoWatch = ~std::uint64_t{0};
+
   struct Wait {
     Cycle until;  ///< absolute end of the wait (clamped to now)
     bool last;    ///< the fiber itself resumes when this wait ends
+    /// Sleep on this key instead of scheduling the wait (never with last).
+    std::uint64_t watch = kNoWatch;
   };
   virtual Wait step() = 0;
+
+  /// Sleeping steppers only: applies the effects of every step due strictly
+  /// before `t` and returns the time of the next one (>= t). Its following
+  /// step() call runs that step.
+  virtual Cycle catch_up(Cycle t) { return t; }
 
  protected:
   ~Stepper() = default;
@@ -48,7 +64,10 @@ class Scheduler {
                 std::size_t stack_bytes = Fiber::kDefaultStack);
 
   /// Runs events until the queue is empty, `horizon` is passed, or stop()
-  /// is called. Returns the simulated time reached.
+  /// is called. Returns the simulated time reached. Sleeping steppers count
+  /// as pending work: with a finite horizon a run whose queue drains while
+  /// some sleep reaches the horizon, as it would had they kept stepping. On
+  /// return their steps up to the time reached are applied (catch_up).
   Cycle run(Cycle horizon = kCycleMax);
 
   /// Requests run() to return after the current event completes. Callable
@@ -84,12 +103,45 @@ class Scheduler {
   void set_fast_forward_enabled(bool on) { fast_forward_enabled_ = on; }
   bool fast_forward_enabled() const { return fast_forward_enabled_; }
 
+  /// Enables/disables sleeping steppers (on by default). With it off every
+  /// wait-loop step goes through the queue — the reference the elided runs
+  /// are tested against (tests/test_spin_step.cpp). Like the fast-forward
+  /// switch it is a test hook, not a model knob.
+  void set_poll_elision_enabled(bool on) { poll_elision_enabled_ = on; }
+
+  /// Whether a stepper may sleep now: elision is enabled and no perturber
+  /// is installed, so every resume point PCT perturbs stays in the queue.
+  bool may_sleep() const {
+    return poll_elision_enabled_ && perturber_ == nullptr;
+  }
+
   /// Installs (or removes, with nullptr) a schedule perturber. Every fiber
   /// resume scheduled afterwards is offered to it; nothing else in the
   /// engine changes, so a null perturber keeps event order byte-identical
-  /// to a build without the hook.
+  /// to a build without the hook. Install it before steppers sleep.
   void set_perturber(Perturber* p) { perturber_ = p; }
   Perturber* perturber() const { return perturber_; }
+
+  /// Wakes every stepper sleeping on `key`: applies its steps due strictly
+  /// before now() and schedules its next step as a step entry. The tie
+  /// rule (event_queue.hpp) puts that entry after every ordinary event of
+  /// its cycle, which is where it would be had the stepper never slept.
+  /// Call it at the instant of the event that invalidates the key.
+  void notify(std::uint64_t key) {
+    if (!sleepers_.empty()) [[unlikely]] notify_slow(key, /*all=*/false);
+  }
+  /// notify() for every sleeping stepper, whatever its key.
+  void notify_all() {
+    if (!sleepers_.empty()) notify_slow(0, /*all=*/true);
+  }
+
+  /// Applies every sleeping stepper's steps due strictly before now(); they
+  /// keep sleeping. Observers of the state steps touch (cycle accounts,
+  /// counters) call this before they read it mid-run.
+  void catch_up_sleepers() { catch_up_sleepers(now_); }
+
+  /// Steppers currently asleep.
+  std::size_t sleeping() const { return sleepers_.size(); }
 
   // ---- Fiber-side API (must be called from inside a running fiber) ----
 
@@ -140,9 +192,16 @@ class Scheduler {
   bool advance(FiberId id, Cycle t, bool step);
 
   /// Runs parked fiber `id`'s stepper at now() (its step entry just
-  /// popped) until a step's wait is scheduled (returns false) or the last
-  /// wait fast-forwards (returns true: the fiber resumes now).
+  /// popped) until a step's wait is scheduled or the stepper sleeps
+  /// (returns false) or the last wait fast-forwards (returns true: the
+  /// fiber resumes now).
   bool run_steps(FiberId id);
+
+  /// Puts parked fiber `id`'s stepper to sleep on `key`.
+  void sleep(FiberId id, std::uint64_t key);
+
+  void notify_slow(std::uint64_t key, bool all);
+  void catch_up_sleepers(Cycle t);
 
   /// Parks fiber `f` (the one currently running). If the next event due is
   /// another fiber's resume, switches straight into it — one context switch
@@ -155,11 +214,17 @@ class Scheduler {
   EventQueue queue_;
   std::vector<std::unique_ptr<Fiber>> fibers_;
   std::vector<Stepper*> steppers_;  ///< per fiber; set while parked in spin()
+  struct Sleeper {
+    std::uint64_t key;
+    FiberId id;
+  };
+  std::vector<Sleeper> sleepers_;  ///< steppers asleep, unordered
   Cycle now_ = 0;
   Cycle horizon_ = kCycleMax;  ///< run() window; bounds the wait fast path
   FiberId current_ = kNoFiber;
   bool stop_requested_ = false;
   bool fast_forward_enabled_ = true;
+  bool poll_elision_enabled_ = true;
   Perturber* perturber_ = nullptr;
 };
 

@@ -21,6 +21,7 @@ struct EngineCounters {
   std::uint64_t heap_grows = 0;     ///< reallocations of the heap array
   std::uint64_t peak_depth = 0;     ///< max simultaneous pending events
   std::uint64_t fast_forwards = 0;  ///< waits satisfied without an event
+  std::uint64_t sleeps = 0;         ///< stepper waits put to sleep instead
 };
 
 /// Streaming min/max/mean/variance accumulator (Welford's algorithm).
@@ -133,6 +134,7 @@ class Reservoir {
     summary_.add(static_cast<double>(x));
     ++seen_;
     if (stride_ > 1 && (seen_ - 1) % stride_ != 0) return;
+    sorted_valid_ = false;
     if (v_.size() == cap_) {
       // Halve: keep arrivals 0, 2stride, 4stride, ... (every other kept one).
       std::size_t w = 0;
@@ -148,7 +150,8 @@ class Reservoir {
   std::size_t kept() const { return v_.size(); }
   const Summary& summary() const { return summary_; }
 
-  /// Exact quantile over the kept samples: sorted copy, linear
+  /// Exact quantile over the kept samples: sorted copy (made once and
+  /// cached until the next add/merge), linear
   /// interpolation between adjacent order statistics (the R type-7 /
   /// NumPy default definition). q in [0,1]; q=0.999 is the p999 the
   /// service harness reports.
@@ -162,8 +165,12 @@ class Reservoir {
   /// full offline sort (tests/test_service.cpp pins the boundary).
   std::uint64_t quantile(double q) const {
     if (v_.empty()) return 0;
-    std::vector<std::uint64_t> s(v_);
-    std::sort(s.begin(), s.end());
+    if (!sorted_valid_) {
+      sorted_.assign(v_.begin(), v_.end());
+      std::sort(sorted_.begin(), sorted_.end());
+      sorted_valid_ = true;
+    }
+    const std::vector<std::uint64_t>& s = sorted_;
     double r = q * static_cast<double>(s.size() - 1);
     if (r < 0) r = 0;
     const std::size_t i = static_cast<std::size_t>(r);
@@ -179,6 +186,7 @@ class Reservoir {
     // same-stride per-thread reservoirs well under capacity).
     summary_.merge(o.summary_);
     seen_ += o.seen_;
+    sorted_valid_ = false;
     v_.insert(v_.end(), o.v_.begin(), o.v_.end());
   }
 
@@ -187,6 +195,8 @@ class Reservoir {
   std::uint64_t seen_ = 0;
   std::uint64_t stride_ = 1;
   std::vector<std::uint64_t> v_;
+  mutable std::vector<std::uint64_t> sorted_;  ///< quantile()'s cache
+  mutable bool sorted_valid_ = false;
   Summary summary_;
 };
 

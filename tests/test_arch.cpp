@@ -310,5 +310,25 @@ TEST_F(UdnTest, PeakOccupancyTracked) {
   EXPECT_EQ(udn.counters().words, 15u);
 }
 
+TEST(Coherence, LineOfShiftsByLineSize) {
+  MachineParams p = MachineParams::tilegx36();
+  p.line_bytes = 128;
+  MeshTopology topo(p);
+  CoherenceModel coh(p, topo);
+  EXPECT_EQ(coh.line_of(0), 0u);
+  EXPECT_EQ(coh.line_of(127), 0u);
+  EXPECT_EQ(coh.line_of(128), 1u);
+  EXPECT_EQ(coh.line_of(0x12345), 0x12345u / 128);
+}
+
+TEST(CoherenceDeathTest, NonPowerOfTwoLineBytesAborts) {
+  MachineParams p = MachineParams::tilegx36();
+  p.line_bytes = 48;
+  MeshTopology topo(p);
+  EXPECT_DEATH(CoherenceModel(p, topo),
+               "hmps fatal: CoherenceModel: line_bytes 48 is not a power of "
+               "two");
+}
+
 }  // namespace
 }  // namespace hmps::arch

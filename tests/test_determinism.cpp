@@ -25,6 +25,7 @@
 #include "arch/params.hpp"
 #include "arch/topology.hpp"
 #include "arch/udn.hpp"
+#include "harness/record.hpp"
 #include "harness/service.hpp"
 #include "harness/workload.hpp"
 #include "obs/metrics.hpp"
@@ -469,8 +470,9 @@ TEST(EngineCounters, LoneFiberWaitsFastForward) {
 // results, machine/engine/coherence counters, cycle accounts, sync stats)
 // of short harness runs of the spinning constructions. The entry carries no
 // argv or git stamp; those live at the document root. The constants were
-// captured before client poll loops became scheduler-side steps
-// (Scheduler::spin, docs/ENGINE.md) and must never be regenerated to make
+// last regenerated for the declared change that made polls run last in
+// their cycle and let hit pollers sleep (docs/ENGINE.md, "Poll elision");
+// they cover the engine block too. They must never be regenerated to make
 // a change pass: a different fingerprint means the simulation changed.
 // ---------------------------------------------------------------------------
 
@@ -509,20 +511,20 @@ struct CounterGold {
 TEST(RunEntryFingerprint, SpinningCounterRuns) {
   using harness::Approach;
   const CounterGold gold[] = {
-      {Approach::kShmServer, 4, 2861645310208988237ull},
-      {Approach::kShmServer, 12, 6079810376367246715ull},
-      {Approach::kCcSynch, 4, 12349187555000296466ull},
-      {Approach::kCcSynch, 12, 14490054338664678163ull},
-      {Approach::kHybComb, 4, 17634223178012986927ull},
-      {Approach::kHybComb, 12, 10945188341614211464ull},
-      {Approach::kMcsLock, 4, 6086232006296994025ull},
-      {Approach::kMcsLock, 12, 16297189253389995909ull},
-      {Approach::kClhLock, 4, 13179275485405188992ull},
-      {Approach::kClhLock, 12, 7709605816559109589ull},
-      {Approach::kTicketLock, 4, 15713362015472673762ull},
-      {Approach::kTicketLock, 12, 12608154538904985084ull},
-      {Approach::kTtasLock, 4, 15951468878560224161ull},
-      {Approach::kTtasLock, 12, 10840454658755876952ull},
+      {Approach::kShmServer, 4, 17772707087139380482ull},
+      {Approach::kShmServer, 12, 4739840582860776135ull},
+      {Approach::kCcSynch, 4, 14046078340577641564ull},
+      {Approach::kCcSynch, 12, 18052898851178795174ull},
+      {Approach::kHybComb, 4, 140911536001597990ull},
+      {Approach::kHybComb, 12, 7553310449832635254ull},
+      {Approach::kMcsLock, 4, 10707648176098808390ull},
+      {Approach::kMcsLock, 12, 847629786658471646ull},
+      {Approach::kClhLock, 4, 9506752080242406415ull},
+      {Approach::kClhLock, 12, 7947377503713416632ull},
+      {Approach::kTicketLock, 4, 8394058803802156742ull},
+      {Approach::kTicketLock, 12, 13844152610842306030ull},
+      {Approach::kTtasLock, 4, 5848696392329394724ull},
+      {Approach::kTtasLock, 12, 6948243805309321461ull},
   };
   for (const CounterGold& g : gold) {
     EXPECT_EQ(counter_entry_fp(g.approach, g.threads), g.fp)
@@ -540,7 +542,116 @@ TEST(RunEntryFingerprint, ShmServerServiceRun) {
   cfg.arrival = harness::ArrivalModel::kMmpp;
   harness::run_service(cfg, harness::Approach::kShmServer);
   EXPECT_EQ(fnv1a(reg.root()["runs"].items().at(0).dump()),
-            4662152220726991398ull);
+            3214122818286159705ull);
+}
+
+// ---------------------------------------------------------------------------
+// Poll elision (docs/ENGINE.md): a sleeping poller's polls are applied in
+// bulk when its line is written, so for every spinning construction the
+// run entries and histories must be byte-identical with elision on and off.
+// Only the engine block, which counts the host's work, may differ.
+// ---------------------------------------------------------------------------
+
+struct Entry {
+  std::string body;  ///< the run entry without its engine block
+  std::uint64_t sleeps = 0;
+};
+
+Entry first_entry(obs::MetricsRegistry& reg) {
+  obs::JsonValue e = reg.root()["runs"].items().at(0);
+  Entry out;
+  out.sleeps = e["machine"]["engine"]["sleeps"].as_uint();
+  e["machine"]["engine"] = obs::JsonValue();
+  out.body = e.dump();
+  return out;
+}
+
+Entry counter_entry(harness::Approach a, std::uint32_t threads, bool elide) {
+  obs::MetricsRegistry reg;
+  reg.stamp("elision", 0, nullptr);
+  harness::RunCfg cfg = fingerprint_cfg(threads, &reg);
+  cfg.poll_elision = elide;
+  harness::run_counter(cfg, a);
+  return first_entry(reg);
+}
+
+TEST(PollElision, CounterRunEntriesMatchUnelided) {
+  using harness::Approach;
+  for (const Approach a :
+       {Approach::kShmServer, Approach::kCcSynch, Approach::kHybComb,
+        Approach::kMcsLock, Approach::kClhLock, Approach::kTicketLock,
+        Approach::kTtasLock}) {
+    for (const std::uint32_t threads : {4u, 12u}) {
+      SCOPED_TRACE(std::string(harness::approach_name(a)) + " @ " +
+                   std::to_string(threads));
+      const Entry off = counter_entry(a, threads, false);
+      const Entry on = counter_entry(a, threads, true);
+      EXPECT_EQ(on.body, off.body);
+      EXPECT_EQ(off.sleeps, 0u);
+      EXPECT_GT(on.sleeps, 0u);
+    }
+  }
+}
+
+TEST(PollElision, ServiceRunEntriesMatchUnelided) {
+  using harness::Approach;
+  for (const Approach a :
+       {Approach::kShmServer, Approach::kCcSynch, Approach::kHybComb}) {
+    for (const harness::ArrivalModel arrival :
+         {harness::ArrivalModel::kPoisson, harness::ArrivalModel::kMmpp}) {
+      SCOPED_TRACE(harness::approach_name(a));
+      Entry e[2];
+      for (const bool elide : {false, true}) {
+        obs::MetricsRegistry reg;
+        reg.stamp("elision", 0, nullptr);
+        harness::ServiceCfg cfg;
+        cfg.base = fingerprint_cfg(0, &reg);
+        cfg.base.telemetry_window = 7'000;  // ticks land inside spins
+        cfg.base.poll_elision = elide;
+        cfg.sessions = 6;
+        cfg.offered_mops = 6.0;
+        cfg.arrival = arrival;
+        harness::run_service(cfg, a);
+        e[elide] = first_entry(reg);
+      }
+      EXPECT_EQ(e[1].body, e[0].body);
+      EXPECT_GT(e[1].sleeps, 0u);
+    }
+  }
+}
+
+TEST(PollElision, RecordedHistoriesMatchUnelided) {
+  using harness::Construction;
+  for (std::uint32_t c = 0; c < harness::kNumConstructions; ++c) {
+    for (const harness::Object obj :
+         {harness::Object::kCounter, harness::Object::kQueue}) {
+      harness::RecordCfg cfg;
+      cfg.params = arch::MachineParams::tilegx_small(4, 4);
+      cfg.construction = static_cast<Construction>(c);
+      cfg.object = obj;
+      cfg.threads = 6;
+      cfg.ops_each = 40;
+      cfg.shards = 3;
+      SCOPED_TRACE(c);
+      cfg.poll_elision = false;
+      const harness::RecordResult off = harness::record_history(cfg);
+      cfg.poll_elision = true;
+      const harness::RecordResult on = harness::record_history(cfg);
+      ASSERT_TRUE(off.completed);
+      ASSERT_EQ(on.history.size(), off.history.size());
+      for (std::size_t i = 0; i < off.history.size(); ++i) {
+        const harness::OpRecord& a = off.history[i];
+        const harness::OpRecord& b = on.history[i];
+        EXPECT_TRUE(a.thread == b.thread && a.kind == b.kind &&
+                    a.arg == b.arg && a.ret == b.ret &&
+                    a.invoke == b.invoke && a.response == b.response &&
+                    a.obj == b.obj)
+            << "record " << i;
+      }
+      EXPECT_EQ(on.end_time, off.end_time);
+      EXPECT_EQ(on.completed, off.completed);
+    }
+  }
 }
 
 }  // namespace

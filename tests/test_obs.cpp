@@ -22,6 +22,7 @@ namespace {
 using obs::CycleAccount;
 using obs::JsonValue;
 using Bucket = CycleAccount::Bucket;
+using sim::Cycle;
 
 TEST(CycleAccount, BucketsSumToElapsedAfterSettle) {
   CycleAccount a;
@@ -70,6 +71,38 @@ TEST(CycleAccount, FinalizeCoversCoreThatNeverReceivedWork) {
   // finalize() twice (or finalize after settle) must not double-fill.
   worked.finalize(300);
   EXPECT_EQ(worked.total(), 200u);
+}
+
+TEST(CycleAccount, ChargePeriodicMatchesChargeByCharge) {
+  // Every watermark position relative to the run: before it, inside a
+  // load-like interval, inside a relax-like interval, past its end.
+  for (Cycle la : {1u, 3u, 5u}) {
+    for (Cycle lb : {1u, 2u}) {
+      for (Cycle n = 0; n < 5; ++n) {
+        for (Cycle nb : {n, n > 0 ? n - 1 : 0}) {
+          for (Cycle mark = 0; mark < 40; ++mark) {
+            CycleAccount one, bulk;
+            one.charge(Bucket::kAtomic, 0, mark);
+            bulk.charge(Bucket::kAtomic, 0, mark);
+            const Cycle s = 7, p = la + lb;
+            for (Cycle i = 0; i < n; ++i) {
+              one.charge(Bucket::kCompute, s + i * p, s + i * p + la);
+              if (i < nb) {
+                one.charge(Bucket::kSpin, s + i * p + la, s + (i + 1) * p);
+              }
+            }
+            bulk.charge_periodic(Bucket::kCompute, la, Bucket::kSpin, lb, s, n,
+                                 nb);
+            for (int b = 0; b < CycleAccount::kNumBuckets; ++b) {
+              ASSERT_EQ(one.bucket(Bucket(b)), bulk.bucket(Bucket(b)))
+                  << la << ' ' << lb << ' ' << n << ' ' << nb << ' ' << mark;
+            }
+            ASSERT_EQ(one.mark(), bulk.mark());
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(CycleAccount, ReclassifyMovesCyclesAndPreservesTotal) {

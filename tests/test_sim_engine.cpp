@@ -83,6 +83,108 @@ TEST(EventQueue, FifoAtSameTime) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
+// Tie rule: within a cycle every ordinary entry (callbacks, plain resumes)
+// fires before every step entry, ordinary entries in insertion order and
+// steps by fiber id, however the entries were interleaved.
+std::vector<std::uint32_t> drain_entries(EventQueue& q,
+                                         std::vector<Cycle>* times = nullptr) {
+  std::vector<std::uint32_t> out;
+  Cycle t = 0;
+  while (!q.empty()) {
+    const std::uint32_t e = q.pop_entry(kCycleMax, &t);
+    if (times != nullptr) times->push_back(t);
+    if (EventQueue::is_resume(e)) {
+      out.push_back(e);
+    } else {
+      q.claim(e)();
+    }
+  }
+  return out;
+}
+
+constexpr std::uint32_t resume_entry(std::uint32_t id, bool step) {
+  return EventQueue::kResumeTag | (step ? EventQueue::kStepTag : 0u) | id;
+}
+
+TEST(EventQueue, TieRuleInWheelBucket) {
+  EventQueue q;
+  std::vector<std::uint32_t> calls;
+  q.schedule_resume(5, 9, /*step=*/true);
+  q.schedule(5, [&] { calls.push_back(1); });
+  q.schedule_resume(5, 2, /*step=*/true);
+  q.schedule_resume(5, 7, /*step=*/false);
+  q.schedule_resume(5, 4, /*step=*/true);
+  q.schedule(5, [&] { calls.push_back(2); });
+  q.schedule_resume(4, 11, /*step=*/true);  // an earlier cycle still first
+  std::vector<Cycle> times;
+  const auto order = drain_entries(q, &times);
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{
+                       resume_entry(11, true), resume_entry(7, false),
+                       resume_entry(2, true), resume_entry(4, true),
+                       resume_entry(9, true)}));
+  EXPECT_EQ(calls, (std::vector<std::uint32_t>{1, 2}));
+  EXPECT_EQ(times, (std::vector<Cycle>{4, 5, 5, 5, 5, 5, 5}));
+}
+
+TEST(EventQueue, TieRuleAcrossOverflowAndWheel) {
+  // Entries 5000 cycles out go to the overflow heap; after the floor moves
+  // up, entries for the same cycle go to the wheel. The merged order must
+  // still be: ordinary entries by insertion (overflow ones were inserted
+  // first), then steps by fiber id from both structures.
+  EventQueue q;
+  const Cycle far = 5000;
+  q.schedule_resume(far, 6, /*step=*/true);
+  q.schedule_resume(far, 1, /*step=*/false);
+  q.schedule_resume(far, 3, /*step=*/true);
+  q.schedule(far - 100, [] {});  // moves the floor within wheel range
+  Cycle t;
+  const std::uint32_t cb = q.pop_entry(kCycleMax, &t);
+  ASSERT_FALSE(EventQueue::is_resume(cb));
+  q.claim(cb)();
+  q.schedule_resume(far, 5, /*step=*/true);
+  q.schedule_resume(far, 2, /*step=*/false);
+  q.schedule_resume(far, 8, /*step=*/true);
+  q.schedule_resume(far, 4, /*step=*/true);
+  EXPECT_EQ(drain_entries(q), (std::vector<std::uint32_t>{
+                                  resume_entry(1, false),
+                                  resume_entry(2, false),
+                                  resume_entry(3, true), resume_entry(4, true),
+                                  resume_entry(5, true), resume_entry(6, true),
+                                  resume_entry(8, true)}));
+}
+
+TEST(EventQueue, TieRuleOverflowStepsAmongThemselves) {
+  EventQueue q;
+  for (std::uint32_t id : {7u, 3u, 5u}) {
+    q.schedule_resume(4000, id, /*step=*/true);
+  }
+  q.schedule_resume(4000, 9, /*step=*/false);
+  EXPECT_EQ(drain_entries(q), (std::vector<std::uint32_t>{
+                                  resume_entry(9, false),
+                                  resume_entry(3, true), resume_entry(5, true),
+                                  resume_entry(7, true)}));
+}
+
+TEST(EventQueue, PopResumeHonoursTieRule) {
+  // pop_resume only takes the earliest entry, and only if it is a resume:
+  // a same-cycle callback blocks it even when a step was scheduled first.
+  EventQueue q;
+  bool ran = false;
+  q.schedule_resume(3, 1, /*step=*/true);
+  q.schedule(3, [&] { ran = true; });
+  Cycle t = 0;
+  EXPECT_EQ(q.pop_resume(kCycleMax, &t), EventQueue::kNoEvent);
+  const std::uint32_t cb = q.pop_entry(kCycleMax, &t);
+  ASSERT_FALSE(EventQueue::is_resume(cb));
+  q.claim(cb)();
+  EXPECT_TRUE(ran);
+  q.schedule_resume(3, 4, /*step=*/false);  // same cycle, after the step
+  EXPECT_EQ(q.pop_resume(kCycleMax, &t), resume_entry(4, false));
+  EXPECT_EQ(q.pop_resume(kCycleMax, &t), resume_entry(1, true));
+  EXPECT_EQ(t, 3u);
+  EXPECT_TRUE(q.empty());
+}
+
 TEST(EventQueue, SizeAndClear) {
   EventQueue q;
   q.schedule(1, [] {});
