@@ -99,7 +99,6 @@ std::uint64_t farm_pop(SimCtx& ctx, void* o, std::uint64_t a) {
 /// src/check/explore.cpp relies on exactly that shape).
 RecordResult record_sharded(const RecordCfg& cfg, sim::Perturber* perturber) {
   SimExecutor ex(cfg.params, cfg.seed);
-  ex.sched().set_poll_elision_enabled(cfg.poll_elision);
   if (cfg.faults.enabled()) ex.machine().install_faults(cfg.faults);
   if (perturber != nullptr) ex.sched().set_perturber(perturber);
 
@@ -325,7 +324,6 @@ RecordResult record_history(const RecordCfg& cfg, sim::Perturber* perturber) {
     return record_sharded(cfg, perturber);
   }
   SimExecutor ex(cfg.params, cfg.seed);
-  ex.sched().set_poll_elision_enabled(cfg.poll_elision);
   if (cfg.faults.enabled()) ex.machine().install_faults(cfg.faults);
   if (perturber != nullptr) ex.sched().set_perturber(perturber);
 

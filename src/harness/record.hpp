@@ -103,8 +103,6 @@ struct RecordCfg {
   /// mix in cross-shard queue_transfer ops (docs/SHARDING.md). Ignored —
   /// and clamped to 1 — for every other construction.
   std::uint32_t shards = 1;
-  /// Engine test hook, as RunCfg::poll_elision.
-  bool poll_elision = true;
 };
 
 struct RecordResult {

@@ -176,7 +176,6 @@ RunResult run_service(const ServiceCfg& cfg, Approach a) {
   const Cycle t_end = base.warmup + measure;
 
   SimExecutor ex(base.machine, base.seed);
-  ex.sched().set_poll_elision_enabled(base.poll_elision);
   if (base.faults.enabled()) ex.machine().install_faults(base.faults);
   const bool tracing = base.obs.trace != nullptr;
   if (tracing) {
@@ -573,7 +572,6 @@ RunResult run_service_sharded(const ServiceCfg& cfg) {
   const Cycle t_end = base.warmup + measure;
 
   SimExecutor ex(base.machine, base.seed);
-  ex.sched().set_poll_elision_enabled(base.poll_elision);
   if (base.faults.enabled()) ex.machine().install_faults(base.faults);
   const bool tracing = base.obs.trace != nullptr;
   if (tracing) {

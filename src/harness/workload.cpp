@@ -122,7 +122,6 @@ struct DriverHooks {
 
 RunResult drive(const RunCfg& cfg, DriverHooks hooks) {
   SimExecutor ex(cfg.machine, cfg.seed);
-  ex.sched().set_poll_elision_enabled(cfg.poll_elision);
   // Install the fault plan before any thread starts so its first windows
   // land deterministically; a disabled plan leaves the machine untouched
   // (and the golden traces byte-identical).
@@ -494,7 +493,6 @@ RunResult run_counter(const RunCfg& cfg, Approach a) {
 
 double ideal_cs_cycles(const RunCfg& cfg) {
   SimExecutor ex(cfg.machine, cfg.seed);
-  ex.sched().set_poll_elision_enabled(cfg.poll_elision);
   ds::ArrayObject array;
   double per_op = 0;
   const std::uint64_t iters = cfg.cs_iters;

@@ -93,9 +93,6 @@ struct RunCfg {
                                       ///< `telemetry` block (0 = off, no
                                       ///< events scheduled)
   RunObs obs{};                       ///< observability sinks (all off)
-  /// Engine test hook (sim::Scheduler::set_poll_elision_enabled): results
-  /// are identical either way, only engine counters move. Not serialized.
-  bool poll_elision = true;
 };
 
 struct RunResult {

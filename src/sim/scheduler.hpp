@@ -41,10 +41,11 @@ class Stepper {
   };
   virtual Wait step() = 0;
 
-  /// Sleeping steppers only: applies the effects of every step due strictly
-  /// before `t` and returns the time of the next one (>= t). Its following
-  /// step() call runs that step.
-  virtual Cycle catch_up(Cycle t) { return t; }
+  /// Applies the effects of every step due strictly before `t` and returns
+  /// the time of the next one (>= t); the following step() call runs that
+  /// step. Called only on a stepper that is asleep, so a stepper that never
+  /// returns a watch key is never asked.
+  virtual Cycle catch_up(Cycle t) = 0;
 
  protected:
   ~Stepper() = default;

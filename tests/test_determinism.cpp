@@ -29,8 +29,10 @@
 #include "harness/service.hpp"
 #include "harness/workload.hpp"
 #include "obs/metrics.hpp"
+#include "sim/perturb.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/trace.hpp"
 
 // ---------------------------------------------------------------------------
 // Allocation-counting hook: global operator new/delete tally every heap
@@ -549,16 +551,22 @@ TEST(RunEntryFingerprint, ShmServerServiceRun) {
 // Poll elision (docs/ENGINE.md): a sleeping poller's polls are applied in
 // bulk when its line is written, so for every spinning construction the
 // run entries and histories must be byte-identical with elision on and off.
-// Only the engine block, which counts the host's work, may differ.
+// Only the engine block, which counts the host's work, may differ. The
+// unelided reference is the production one: a tracer (run entries) or a
+// perturber (histories) keeps every poller awake.
 // ---------------------------------------------------------------------------
 
 struct Entry {
-  std::string body;  ///< the run entry without its engine block
+  std::string body;  ///< the run entry without its engine and trace blocks
   std::uint64_t sleeps = 0;
 };
 
 Entry first_entry(obs::MetricsRegistry& reg) {
-  obs::JsonValue e = reg.root()["runs"].items().at(0);
+  const obs::JsonValue& run = reg.root()["runs"].items().at(0);
+  obs::JsonValue e = obs::JsonValue::object();
+  for (const auto& [key, value] : run.members()) {
+    if (key != "trace") e[key] = value;
+  }
   Entry out;
   out.sleeps = e["machine"]["engine"]["sleeps"].as_uint();
   e["machine"]["engine"] = obs::JsonValue();
@@ -566,11 +574,20 @@ Entry first_entry(obs::MetricsRegistry& reg) {
   return out;
 }
 
-Entry counter_entry(harness::Approach a, std::uint32_t threads, bool elide) {
+/// Points `obs` at `sink` when `traced`; a traced run never sleeps.
+void trace_into(harness::RunObs& obs, sim::Tracer* sink, bool traced) {
+  if (!traced) return;
+  obs.trace = sink;
+  obs.trace_max_events = 1024;
+}
+
+Entry counter_entry(harness::Approach a, std::uint32_t threads,
+                    bool traced) {
   obs::MetricsRegistry reg;
   reg.stamp("elision", 0, nullptr);
+  sim::Tracer sink;
   harness::RunCfg cfg = fingerprint_cfg(threads, &reg);
-  cfg.poll_elision = elide;
+  trace_into(cfg.obs, &sink, traced);
   harness::run_counter(cfg, a);
   return first_entry(reg);
 }
@@ -584,8 +601,8 @@ TEST(PollElision, CounterRunEntriesMatchUnelided) {
     for (const std::uint32_t threads : {4u, 12u}) {
       SCOPED_TRACE(std::string(harness::approach_name(a)) + " @ " +
                    std::to_string(threads));
-      const Entry off = counter_entry(a, threads, false);
-      const Entry on = counter_entry(a, threads, true);
+      const Entry off = counter_entry(a, threads, true);
+      const Entry on = counter_entry(a, threads, false);
       EXPECT_EQ(on.body, off.body);
       EXPECT_EQ(off.sleeps, 0u);
       EXPECT_GT(on.sleeps, 0u);
@@ -600,14 +617,15 @@ TEST(PollElision, ServiceRunEntriesMatchUnelided) {
     for (const harness::ArrivalModel arrival :
          {harness::ArrivalModel::kPoisson, harness::ArrivalModel::kMmpp}) {
       SCOPED_TRACE(harness::approach_name(a));
-      Entry e[2];
+      Entry e[2];  // [0] traced (unelided), [1] untraced (elided)
       for (const bool elide : {false, true}) {
         obs::MetricsRegistry reg;
         reg.stamp("elision", 0, nullptr);
+        sim::Tracer sink;
         harness::ServiceCfg cfg;
         cfg.base = fingerprint_cfg(0, &reg);
         cfg.base.telemetry_window = 7'000;  // ticks land inside spins
-        cfg.base.poll_elision = elide;
+        trace_into(cfg.base.obs, &sink, !elide);
         cfg.sessions = 6;
         cfg.offered_mops = 6.0;
         cfg.arrival = arrival;
@@ -615,10 +633,20 @@ TEST(PollElision, ServiceRunEntriesMatchUnelided) {
         e[elide] = first_entry(reg);
       }
       EXPECT_EQ(e[1].body, e[0].body);
+      EXPECT_EQ(e[0].sleeps, 0u);
       EXPECT_GT(e[1].sleeps, 0u);
     }
   }
 }
+
+/// Adds no delay; installing any perturber keeps every poller awake.
+struct ZeroPerturber final : sim::Perturber {
+  sim::Cycle resume_delay(std::uint32_t, sim::Cycle) override { return 0; }
+  sim::Cycle point_delay(std::uint32_t, std::uint32_t, const char*,
+                         sim::Cycle) override {
+    return 0;
+  }
+};
 
 TEST(PollElision, RecordedHistoriesMatchUnelided) {
   using harness::Construction;
@@ -633,9 +661,8 @@ TEST(PollElision, RecordedHistoriesMatchUnelided) {
       cfg.ops_each = 40;
       cfg.shards = 3;
       SCOPED_TRACE(c);
-      cfg.poll_elision = false;
-      const harness::RecordResult off = harness::record_history(cfg);
-      cfg.poll_elision = true;
+      ZeroPerturber awake;
+      const harness::RecordResult off = harness::record_history(cfg, &awake);
       const harness::RecordResult on = harness::record_history(cfg);
       ASSERT_TRUE(off.completed);
       ASSERT_EQ(on.history.size(), off.history.size());

@@ -317,20 +317,18 @@ TEST(ServiceRun, ShedPoliciesAccountEveryArrival) {
               ro.offered_mops * 30'000 / 1200.0, 1.0);
 }
 
-/// The first `n` arrival times of run_service's schedule for `cfg`: the
-/// driver's own stream, replayed draw for draw (per-session mix first,
+/// run_service's arrival schedule for `cfg` up to and including `until`:
+/// the driver's own stream, replayed draw for draw (per-session mix first,
 /// then session, object and op draws before each next arrival).
-std::vector<Cycle> arrival_times(const ServiceCfg& cfg, std::size_t n) {
+std::vector<Cycle> arrival_times(const ServiceCfg& cfg, Cycle until) {
   ArrivalGen gen(cfg, cfg.base.seed * 0x9e3779b97f4a7c15ULL + 0xA55A);
   for (std::uint32_t s = 0; s < cfg.sessions; ++s) gen.below(50);
   std::vector<Cycle> out;
-  Cycle t = gen.next(0);
-  while (out.size() < n) {
+  for (Cycle t = gen.next(0); t <= until; t = gen.next(t)) {
     out.push_back(t);
     gen.below(cfg.sessions);
     gen.uniform();
     gen.below(100);
-    t = gen.next(t);
   }
   return out;
 }
@@ -346,12 +344,22 @@ TEST(ServiceRun, ArrivalOnWindowStartIsNotCounted) {
   cfg.offered_mops = 120.0;
   cfg.queue_cap = 1;
   cfg.shed = ShedPolicy::kDropNewest;
-  const std::vector<Cycle> times = arrival_times(cfg, 60);
-  for (std::size_t k = 40; k < times.size(); ++k) {
+  const Cycle measure = cfg.base.window * cfg.base.reps;
+  const std::vector<Cycle> times = arrival_times(cfg, 20'000 + measure);
+  ASSERT_GT(times.size(), 60u);
+  for (std::size_t k = 40; k < 60; ++k) {
+    const Cycle t_meas0 = times[k];
+    const Cycle t_end = t_meas0 + measure;
+    // The window is (t_meas0, t_end]. The run's offered count must match
+    // the replayed schedule exactly: that proves the replay is the
+    // driver's stream, so arrival k really sits on the boundary.
+    std::uint64_t in_window = 0;
+    for (const Cycle t : times) in_window += t > t_meas0 && t <= t_end;
+    ASSERT_LT(t_end, times.back());
     for (const bool sharded : {false, true}) {
       SCOPED_TRACE(std::to_string(k) + (sharded ? " sharded" : ""));
       ServiceCfg c = cfg;
-      c.base.warmup = times[k];
+      c.base.warmup = t_meas0;
       obs::MetricsRegistry reg;
       c.base.obs.metrics = &reg;
       c.base.obs.label = "boundary";
@@ -362,6 +370,7 @@ TEST(ServiceRun, ArrivalOnWindowStartIsNotCounted) {
         harness::run_service(c, Approach::kShmServer);
       }
       const obs::JsonValue& svc = *reg.root()["runs"].items()[0].find("service");
+      EXPECT_EQ(svc.find("offered")->as_uint(), in_window);
       EXPECT_EQ(svc.find("offered")->as_uint(),
                 svc.find("arrivals")->as_uint() +
                     svc.find("shed_ops")->as_uint());

@@ -352,6 +352,10 @@ struct Countdown final : sim::Stepper {
     --left;
     return {s.now() + 2, left == 0};
   }
+  Cycle catch_up(Cycle t) override {
+    ADD_FAILURE() << "a stepper that never sleeps was caught up";
+    return t;
+  }
 };
 
 void lone_countdown(bool fast_forward) {
