@@ -1,92 +1,16 @@
 #include "arch/noc.hpp"
 
-#include <mutex>
-#include <utility>
+#include <cstddef>
+#include <cstdlib>
 
 namespace hmps::arch {
 
-namespace {
-
-/// Builds the XY route table for a w x h mesh: the per-hop link indices of
-/// every ordered (src, dst) pair, concatenated. Pure function of the mesh
-/// dimensions — no machine state involved.
-RouteTable build_route_table(std::uint32_t w, std::uint32_t h) {
-  RouteTable rt;
-  const std::size_t cores = static_cast<std::size_t>(w) * h;
-  auto link_index = [&](std::uint32_t x, std::uint32_t y, NocModel::Dir d) {
-    return (static_cast<std::size_t>(y) * w + x) * NocModel::kDirs + d;
-  };
-  rt.offs.reserve(cores * cores + 1);
-  rt.offs.push_back(0);
-  for (std::size_t src = 0; src < cores; ++src) {
-    for (std::size_t dst = 0; dst < cores; ++dst) {
-      Coord cur{static_cast<std::int32_t>(src % w),
-                static_cast<std::int32_t>(src / w)};
-      const Coord end{static_cast<std::int32_t>(dst % w),
-                      static_cast<std::int32_t>(dst / w)};
-      // Dimension-ordered: X first, then Y (TILE-Gx UDN routing).
-      while (cur.x != end.x) {
-        const bool east = cur.x < end.x;
-        rt.links.push_back(static_cast<std::uint32_t>(
-            link_index(static_cast<std::uint32_t>(cur.x),
-                       static_cast<std::uint32_t>(cur.y),
-                       east ? NocModel::kEast : NocModel::kWest)));
-        cur.x += east ? 1 : -1;
-      }
-      while (cur.y != end.y) {
-        const bool south = cur.y < end.y;
-        rt.links.push_back(static_cast<std::uint32_t>(
-            link_index(static_cast<std::uint32_t>(cur.x),
-                       static_cast<std::uint32_t>(cur.y),
-                       south ? NocModel::kSouth : NocModel::kNorth)));
-        cur.y += south ? 1 : -1;
-      }
-      rt.offs.push_back(static_cast<std::uint32_t>(rt.links.size()));
-    }
-  }
-  return rt;
-}
-
-}  // namespace
-
-std::shared_ptr<const RouteTable> shared_route_table(std::uint32_t w,
-                                                     std::uint32_t h) {
-  // Process-wide registry keyed by mesh dimensions. Sweeps build thousands
-  // of short-lived machines — and the run pool builds them concurrently on
-  // several host threads — so the table for each mesh shape is derived once
-  // and shared immutably. The handful of distinct shapes a process ever
-  // sees (presets plus the fuzzer's <= 8x8 meshes) keeps the cache tiny.
-  static std::mutex mu;
-  static std::vector<std::pair<std::uint64_t, std::shared_ptr<const RouteTable>>>
-      cache;
-  const std::uint64_t key = (static_cast<std::uint64_t>(w) << 32) | h;
-  {
-    std::lock_guard<std::mutex> l(mu);
-    for (const auto& [k, t] : cache) {
-      if (k == key) return t;
-    }
-  }
-  // Build outside the lock: table construction for a big mesh is the slow
-  // part, and two threads racing to insert the same shape is harmless (one
-  // copy wins, the other is dropped).
-  auto table = std::make_shared<const RouteTable>(build_route_table(w, h));
-  std::lock_guard<std::mutex> l(mu);
-  for (const auto& [k, t] : cache) {
-    if (k == key) return t;
-  }
-  cache.emplace_back(key, table);
-  return table;
-}
-
 NocModel::NocModel(const MachineParams& p, const MeshTopology& topo)
     : p_(p), topo_(topo), w_(p.mesh_w), h_(p.mesh_h),
-      busy_(static_cast<std::size_t>(w_) * h_ * kDirs, 0),
-      routes_(shared_route_table(w_, h_)) {
+      busy_(static_cast<std::size_t>(w_) * h_ * kDirs, 0) {
   // Multi-chip machines pay chip_hop_extra on every link that crosses a
-  // chip boundary. The route table stays a pure function of the mesh shape
-  // (and shared process-wide); the per-link surcharge lives here, in a
-  // per-machine vector indexed like the reservation array. Empty on a
-  // single chip so route() skips the lookup entirely.
+  // chip boundary: a per-machine vector indexed like the reservation array.
+  // Empty on a single chip so route() skips the lookup entirely.
   if (p.chips() > 1 && p.chip_hop_extra > 0) {
     const std::uint32_t cw = p.chip_w(), ch = p.chip_h();
     link_extra_.assign(busy_.size(), 0);
@@ -112,30 +36,45 @@ Cycle NocModel::route(Tid src, Tid dst, Cycle inject_time,
   ++counters_.messages;
   Cycle t = inject_time + p_.router;
   const Cycle hold = p_.udn_per_word_wire * static_cast<Cycle>(words);
-
-  const std::size_t pair = static_cast<std::size_t>(src) * topo_.cores() + dst;
-  const std::uint32_t* link = routes_->links.data() + routes_->offs[pair];
-  const std::uint32_t* end = routes_->links.data() + routes_->offs[pair + 1];
   const bool jitter = faults_ && faults_->active();
-  const bool chips = !link_extra_.empty();
-  for (; link != end; ++link) {
+  const Cycle* extra = link_extra_.empty() ? nullptr : link_extra_.data();
+  const bool stats = !link_busy_.empty();
+  Cycle waited = 0;
+
+  // Dimension-ordered: X first, then Y (TILE-Gx UDN routing). A link's
+  // index is tile * kDirs + direction, so along a leg it steps by ±kDirs
+  // (X) or ±w * kDirs (Y); the Y leg starts at tile (z.x, a.y).
+  const Coord a = topo_.coord(src), z = topo_.coord(dst);
+  const std::ptrdiff_t w = w_, dirs = kDirs;
+  const auto nx = static_cast<std::uint32_t>(std::abs(z.x - a.x));
+  const auto hops = nx + static_cast<std::uint32_t>(std::abs(z.y - a.y));
+  std::ptrdiff_t link = (a.y * w + a.x) * dirs + (z.x > a.x ? kEast : kWest);
+  std::ptrdiff_t step = z.x > a.x ? dirs : -dirs;
+  for (std::uint32_t i = 0; i < hops; ++i) {
+    if (i == nx) {
+      link = (a.y * w + z.x) * dirs + (z.y > a.y ? kSouth : kNorth);
+      step = z.y > a.y ? w * dirs : -w * dirs;
+    }
+    const auto l = static_cast<std::size_t>(link);
+    link += step;
     // Jitter slows the flit stream itself, not just the head: the extra
     // cycles extend the link hold, so later messages crossing this link
     // queue behind the jitter exactly like they queue behind the flits.
     const Cycle jit = jitter ? faults_->hop_jitter() : 0;
-    Cycle& b = busy_[*link];
+    Cycle& b = busy_[l];
     const Cycle start = b > t ? b : t;
-    counters_.link_wait += start - t;
-    if (!link_busy_.empty()) {
-      link_busy_[*link] += hold + jit;
-      link_wait_[*link] += start - t;
+    waited += start - t;
+    if (stats) {
+      link_busy_[l] += hold + jit;
+      link_wait_[l] += start - t;
     }
     // The link carries the message's flits back to back.
     b = start + hold + jit;
     t = start + p_.hop + jit;
-    if (chips) t += link_extra_[*link];
-    ++counters_.hops;
+    if (extra != nullptr) t += extra[l];
   }
+  counters_.link_wait += waited;
+  counters_.hops += hops;
   return t;
 }
 

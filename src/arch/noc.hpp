@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "arch/params.hpp"
@@ -22,29 +21,14 @@ namespace hmps::arch {
 using sim::Cycle;
 using sim::Tid;
 
-/// Immutable XY route table of one mesh shape: pair (src, dst) occupies
-/// links[offs[src * cores + dst] .. offs[src * cores + dst + 1]).
-struct RouteTable {
-  std::vector<std::uint32_t> links;  ///< concatenated per-pair link indices
-  std::vector<std::uint32_t> offs;
-};
-
-/// The process-wide route table for a w x h mesh: built on first request,
-/// then shared (read-only) by every NocModel of that shape — including
-/// models running concurrently on run-pool workers. Thread-safe.
-std::shared_ptr<const RouteTable> shared_route_table(std::uint32_t w,
-                                                     std::uint32_t h);
-
 class NocModel {
  public:
   NocModel(const MachineParams& p, const MeshTopology& topo);
 
   /// Arrival time at `dst` of an `words`-word message injected at `src` at
-  /// `inject_time`, after queueing on every link of the XY route. Routes
-  /// come from the process-wide shared table of this mesh shape, so the
-  /// per-message loop touches only the link reservation array. The
-  /// link_wait arithmetic is identical to walking the route coordinate by
-  /// coordinate.
+  /// `inject_time`, after queueing on every link of the XY route. The
+  /// route is walked from the endpoints' coordinates, X hops first, so the
+  /// model holds no per-pair state: only the link reservation array.
   Cycle route(Tid src, Tid dst, Cycle inject_time, std::uint32_t words);
 
   /// Attaches the machine's fault injector; when active, every hop may take
@@ -84,7 +68,7 @@ class NocModel {
   /// single-chip machine (arch/params.hpp multi-chip block).
   const std::vector<Cycle>& link_extra() const { return link_extra_; }
 
-  // Directions out of each router (public: the table builder uses them).
+  // Directions out of each router; link index = tile * kDirs + dir.
   enum Dir : std::uint32_t { kEast, kWest, kNorth, kSouth, kDirs };
 
  private:
@@ -93,7 +77,6 @@ class NocModel {
   sim::FaultInjector* faults_ = nullptr;
   std::uint32_t w_, h_;
   std::vector<Cycle> busy_;  ///< per-link reservation horizon (per-machine)
-  std::shared_ptr<const RouteTable> routes_;  ///< shared, immutable
   Counters counters_;
   std::vector<Cycle> link_busy_;  ///< per-link hold cycles (telemetry)
   std::vector<Cycle> link_wait_;  ///< per-link wait cycles (telemetry)

@@ -1,6 +1,7 @@
 #include "harness/record.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "ds/counter.hpp"
 #include "ds/elim_stack.hpp"
@@ -57,39 +58,38 @@ struct McsUc {
 /// rendezvous-hashed over the shard fleet.
 constexpr std::uint32_t kFarmObjects = 8;
 
-/// The farm every shard CS body runs against. Per-object state starts on
-/// its own cache line (the ds objects are alignas(kCacheLine)), so each
-/// object is only ever touched by its home shard's serve fiber.
-struct ShardFarm {
-  ds::SeqCounter counters[kFarmObjects];
-  ds::SeqQueue queues[kFarmObjects];
-  ds::SeqStack stacks[kFarmObjects];
+/// The farm every shard CS body runs against: kFarmObjects instances of the
+/// run's object type. Per-object state starts on its own cache line (the ds
+/// objects are alignas(kCacheLine)), so each object is only ever touched by
+/// its home shard's serve fiber.
+template <class T>
+struct Farm {
+  T objs[kFarmObjects];
 };
 
-// Farm CS bodies: the argument packs (obj << 32 | arg32) per
-// sync::ShardedServer::pack_obj_arg.
+/// The farm object a packed argument (obj << 32 | arg32, per
+/// sync::ShardedServer::pack_obj_arg) addresses.
+template <class T>
+T* farm_obj(void* o, std::uint64_t a) {
+  return &static_cast<Farm<T>*>(o)->objs[(a >> 32) % kFarmObjects];
+}
+
 std::uint64_t farm_inc(SimCtx& ctx, void* o, std::uint64_t a) {
-  auto* f = static_cast<ShardFarm*>(o);
-  return ds::counter_inc<SimCtx>(ctx, &f->counters[(a >> 32) % kFarmObjects],
-                                 0);
+  return ds::counter_inc<SimCtx>(ctx, farm_obj<ds::SeqCounter>(o, a), 0);
 }
 std::uint64_t farm_enq(SimCtx& ctx, void* o, std::uint64_t a) {
-  auto* f = static_cast<ShardFarm*>(o);
-  return ds::q_enqueue<SimCtx>(ctx, &f->queues[(a >> 32) % kFarmObjects],
+  return ds::q_enqueue<SimCtx>(ctx, farm_obj<ds::SeqQueue>(o, a),
                                a & 0xFFFFFFFFu);
 }
 std::uint64_t farm_deq(SimCtx& ctx, void* o, std::uint64_t a) {
-  auto* f = static_cast<ShardFarm*>(o);
-  return ds::q_dequeue<SimCtx>(ctx, &f->queues[(a >> 32) % kFarmObjects], 0);
+  return ds::q_dequeue<SimCtx>(ctx, farm_obj<ds::SeqQueue>(o, a), 0);
 }
 std::uint64_t farm_push(SimCtx& ctx, void* o, std::uint64_t a) {
-  auto* f = static_cast<ShardFarm*>(o);
-  return ds::s_push<SimCtx>(ctx, &f->stacks[(a >> 32) % kFarmObjects],
+  return ds::s_push<SimCtx>(ctx, farm_obj<ds::SeqStack>(o, a),
                             a & 0xFFFFFFFFu);
 }
 std::uint64_t farm_pop(SimCtx& ctx, void* o, std::uint64_t a) {
-  auto* f = static_cast<ShardFarm*>(o);
-  return ds::s_pop<SimCtx>(ctx, &f->stacks[(a >> 32) % kFarmObjects], 0);
+  return ds::s_pop<SimCtx>(ctx, farm_obj<ds::SeqStack>(o, a), 0);
 }
 
 /// record_history for the sharded construction: `shards` serve fibers on
@@ -105,9 +105,19 @@ RecordResult record_sharded(const RecordCfg& cfg, sim::Perturber* perturber) {
   const std::uint32_t shards = std::min<std::uint32_t>(
       std::max<std::uint32_t>(cfg.shards, 1),
       sync::ShardedServer<SimCtx>::kMaxShards);
-  ShardFarm farm;
+  // Only the run's object type is built; the transfer hooks run only in
+  // queue runs.
+  std::optional<Farm<ds::SeqCounter>> counters;
+  std::optional<Farm<ds::SeqQueue>> queues;
+  std::optional<Farm<ds::SeqStack>> stacks;
+  void* farm = nullptr;
+  switch (cfg.object) {
+    case Object::kQueue: farm = &queues.emplace(); break;
+    case Object::kStack: farm = &stacks.emplace(); break;
+    default: farm = &counters.emplace(); break;  // counter, as in draw_op
+  }
   sync::ShardedServer<SimCtx>::TransferHooks hooks{farm_deq, farm_enq};
-  sync::ShardedServer<SimCtx> sh(shards, &farm, kFarmObjects, 0, hooks);
+  sync::ShardedServer<SimCtx> sh(shards, farm, kFarmObjects, 0, hooks);
 
   RecordResult res;
   res.total_client_threads = cfg.threads;
@@ -327,21 +337,22 @@ RecordResult record_history(const RecordCfg& cfg, sim::Perturber* perturber) {
   if (cfg.faults.enabled()) ex.machine().install_faults(cfg.faults);
   if (perturber != nullptr) ex.sched().set_perturber(perturber);
 
-  // The objects. Constructed up front regardless of which one runs (cheap,
-  // and it keeps this function free of dynamic dispatch gymnastics).
-  ds::SeqCounter counter;
-  ds::SeqQueue queue(8192);
-  ds::SeqStack stack(8192);
-  ds::Lcrq<SimCtx> lcrq(5, 4096);
-  ds::ElimStack<SimCtx> elim(256, 8, 64);
+  // The object: only the one this run drives is built (an unused LCRQ alone
+  // would be 8192 ring allocations). `obj` is the CS object the
+  // constructions serialize; the concurrent structures have none.
+  std::optional<ds::SeqCounter> counter;
+  std::optional<ds::SeqQueue> queue;
+  std::optional<ds::SeqStack> stack;
+  std::optional<ds::Lcrq<SimCtx>> lcrq;
+  std::optional<ds::ElimStack<SimCtx>> elim;
 
   void* obj = nullptr;
   switch (cfg.object) {
-    case Object::kCounter: obj = &counter; break;
-    case Object::kQueue: obj = &queue; break;
-    case Object::kStack: obj = &stack; break;
-    case Object::kLcrq:
-    case Object::kElimStack: break;  // concurrent structures, no CS object
+    case Object::kCounter: obj = &counter.emplace(); break;
+    case Object::kQueue: obj = &queue.emplace(8192); break;
+    case Object::kStack: obj = &stack.emplace(8192); break;
+    case Object::kLcrq: lcrq.emplace(5, 4096); break;
+    case Object::kElimStack: elim.emplace(256, 8, 64); break;
   }
 
   // The constructions (the server approaches use tid 0 as the server).
@@ -575,10 +586,10 @@ RecordResult record_history(const RecordCfg& cfg, sim::Perturber* perturber) {
               r.kind = OpKind::kEnq;
               r.arg = ((static_cast<std::uint64_t>(i) & 0x7FFF) << 16) | k;
               r.ret = 0;
-              lcrq.enqueue(ctx, static_cast<std::uint32_t>(r.arg));
+              lcrq->enqueue(ctx, static_cast<std::uint32_t>(r.arg));
             } else {
               r.kind = OpKind::kDeq;
-              const std::uint32_t v = lcrq.dequeue(ctx);
+              const std::uint32_t v = lcrq->dequeue(ctx);
               r.ret = v == ds::kLcrqEmpty ? kNothing : v;
             }
             break;
@@ -587,10 +598,10 @@ RecordResult record_history(const RecordCfg& cfg, sim::Perturber* perturber) {
               r.kind = OpKind::kPush;
               r.arg = ((static_cast<std::uint64_t>(i) & 0x7FFF) << 16) | k;
               r.ret = 0;
-              elim.push(ctx, static_cast<std::uint32_t>(r.arg));
+              elim->push(ctx, static_cast<std::uint32_t>(r.arg));
             } else {
               r.kind = OpKind::kPop;
-              r.ret = elim.pop(ctx);
+              r.ret = elim->pop(ctx);
               if (r.ret == ds::kStackEmpty) r.ret = kNothing;
             }
             break;

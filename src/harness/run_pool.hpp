@@ -6,10 +6,10 @@
 // builds its own SimExecutor/Machine (engine, RNG streams, counters) on the
 // caller's stack, and the fiber layer's scratch slots are thread_local
 // (sim/fiber.cpp). The only cross-run state is *read-only after
-// construction* (MachineParams presets, shared NoC route tables) or
-// *private per run* (the metrics/trace arenas below). So runs never
-// communicate, and each run's simulated timeline is the same bit-for-bit
-// whether it executes on the main thread or any worker.
+// construction* (MachineParams presets) or *private per run* (the
+// metrics/trace arenas below). So runs never communicate, and each run's
+// simulated timeline is the same bit-for-bit whether it executes on the
+// main thread or any worker.
 //
 // Why determinism survives the merge: labels and Chrome-trace pids are
 // assigned at submit() time on the calling thread (submission order ==

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -184,10 +185,10 @@ RunResult run_service(const ServiceCfg& cfg, Approach a) {
   }
 
   // ---- objects + constructions (one serialization domain per run) ----
-  CounterFarm counters;
-  QueueFarm queues;
-  void* obj = cfg.queue_object ? static_cast<void*>(&queues)
-                               : static_cast<void*>(&counters);
+  std::optional<CounterFarm> counters;
+  std::optional<QueueFarm> queues;
+  void* obj = cfg.queue_object ? static_cast<void*>(&queues.emplace())
+                               : static_cast<void*>(&counters.emplace());
   const sync::CsFn<SimCtx> fn_main =
       cfg.queue_object ? &farm_enq<SimCtx> : &farm_inc<SimCtx>;
   const sync::CsFn<SimCtx> fn_alt =
@@ -580,10 +581,10 @@ RunResult run_service_sharded(const ServiceCfg& cfg) {
   }
 
   // ---- farm + fleet ----
-  ShardedCounterFarm counters;
-  ShardedQueueFarm queues;
-  void* obj = cfg.queue_object ? static_cast<void*>(&queues)
-                               : static_cast<void*>(&counters);
+  std::optional<ShardedCounterFarm> counters;
+  std::optional<ShardedQueueFarm> queues;
+  void* obj = cfg.queue_object ? static_cast<void*>(&queues.emplace())
+                               : static_cast<void*>(&counters.emplace());
   const sync::CsFn<SimCtx> fn_main =
       cfg.queue_object ? &sh_farm_enq<SimCtx> : &sh_farm_inc<SimCtx>;
   const sync::CsFn<SimCtx> fn_alt =

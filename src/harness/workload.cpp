@@ -511,18 +511,26 @@ double ideal_cs_cycles(const RunCfg& cfg) {
 }
 
 RunResult run_queue(const RunCfg& cfg, QueueImpl qi) {
-  ds::SeqQueue q(16384);
-  ds::Lcrq<SimCtx> lcrq(7, 8192);
+  // Only the queue this run drives is built: the CS queue the
+  // constructions serialize, or the lock-free LCRQ.
+  std::optional<ds::SeqQueue> seq;
+  std::optional<ds::Lcrq<SimCtx>> lcrq;
+  ds::SeqQueue* q = nullptr;
+  if (qi == QueueImpl::kLcrq) {
+    lcrq.emplace(7, 8192);
+  } else {
+    q = &seq.emplace(16384);
+  }
 
-  sync::MpServer<SimCtx> mp1(0, &q, cfg.max_inflight);
+  sync::MpServer<SimCtx> mp1(0, q, cfg.max_inflight);
   sync::HybComb<SimCtx>::Options hopts;
   hopts.stall_timeout = cfg.stall_timeout;
   hopts.max_inflight = cfg.max_inflight;
-  sync::HybComb<SimCtx> hyb(&q, cfg.max_ops, /*fixed_combiner=*/false, hopts);
-  sync::ShmServer<SimCtx> shm(0, &q);
-  sync::CcSynch<SimCtx> cc(&q, static_cast<std::uint32_t>(cfg.max_ops));
-  sync::MpServer<SimCtx> mp2e(0, &q, cfg.max_inflight);
-  sync::MpServer<SimCtx> mp2d(1, &q, cfg.max_inflight);
+  sync::HybComb<SimCtx> hyb(q, cfg.max_ops, /*fixed_combiner=*/false, hopts);
+  sync::ShmServer<SimCtx> shm(0, q);
+  sync::CcSynch<SimCtx> cc(q, static_cast<std::uint32_t>(cfg.max_ops));
+  sync::MpServer<SimCtx> mp2e(0, q, cfg.max_inflight);
+  sync::MpServer<SimCtx> mp2d(1, q, cfg.max_inflight);
   std::optional<sync::VlinkServer<SimCtx>> vl1;
 
   DriverHooks hooks;
@@ -532,7 +540,7 @@ RunResult run_queue(const RunCfg& cfg, QueueImpl qi) {
       break;
     case QueueImpl::kVl1:
       hooks.init = [&](SimExecutor& ex) {
-        vl1.emplace(ex.machine().vlink(), /*server_core=*/0, &q,
+        vl1.emplace(ex.machine().vlink(), /*server_core=*/0, q,
                     cfg.max_inflight);
       };
       hooks.servers.push_back([&](SimCtx& ctx) { vl1->serve(ctx); });
@@ -605,8 +613,8 @@ RunResult run_queue(const RunCfg& cfg, QueueImpl qi) {
             : (void)mp2d.apply(ctx, ds::q_dequeue_fenced<SimCtx>, 0);
         break;
       case QueueImpl::kLcrq:
-        enq ? lcrq.enqueue(ctx, static_cast<std::uint32_t>(v))
-            : (void)lcrq.dequeue(ctx);
+        enq ? lcrq->enqueue(ctx, static_cast<std::uint32_t>(v))
+            : (void)lcrq->dequeue(ctx);
         break;
       case QueueImpl::kVl1:
         enq ? (void)vl1->apply(ctx, ds::q_enqueue<SimCtx>, v)
@@ -638,16 +646,24 @@ RunResult run_queue(const RunCfg& cfg, QueueImpl qi) {
 }
 
 RunResult run_stack(const RunCfg& cfg, StackImpl si) {
-  ds::SeqStack st(16384);
-  ds::TreiberStack<SimCtx> tr(2048);
+  // Only the stack this run drives is built: the CS stack the
+  // constructions serialize, or the lock-free Treiber stack.
+  std::optional<ds::SeqStack> seq;
+  std::optional<ds::TreiberStack<SimCtx>> tr;
+  ds::SeqStack* st = nullptr;
+  if (si == StackImpl::kTreiber) {
+    tr.emplace(2048);
+  } else {
+    st = &seq.emplace(16384);
+  }
 
-  sync::MpServer<SimCtx> mp(0, &st, cfg.max_inflight);
+  sync::MpServer<SimCtx> mp(0, st, cfg.max_inflight);
   sync::HybComb<SimCtx>::Options hopts;
   hopts.stall_timeout = cfg.stall_timeout;
   hopts.max_inflight = cfg.max_inflight;
-  sync::HybComb<SimCtx> hyb(&st, cfg.max_ops, /*fixed_combiner=*/false, hopts);
-  sync::ShmServer<SimCtx> shm(0, &st);
-  sync::CcSynch<SimCtx> cc(&st, static_cast<std::uint32_t>(cfg.max_ops));
+  sync::HybComb<SimCtx> hyb(st, cfg.max_ops, /*fixed_combiner=*/false, hopts);
+  sync::ShmServer<SimCtx> shm(0, st);
+  sync::CcSynch<SimCtx> cc(st, static_cast<std::uint32_t>(cfg.max_ops));
   std::optional<sync::VlinkServer<SimCtx>> vl;
 
   DriverHooks hooks;
@@ -657,7 +673,7 @@ RunResult run_stack(const RunCfg& cfg, StackImpl si) {
     hooks.servers.push_back([&](SimCtx& ctx) { shm.serve(ctx); });
   } else if (si == StackImpl::kVl) {
     hooks.init = [&](SimExecutor& ex) {
-      vl.emplace(ex.machine().vlink(), /*server_core=*/0, &st,
+      vl.emplace(ex.machine().vlink(), /*server_core=*/0, st,
                  cfg.max_inflight);
     };
     hooks.servers.push_back([&](SimCtx& ctx) { vl->serve(ctx); });
@@ -683,7 +699,7 @@ RunResult run_stack(const RunCfg& cfg, StackImpl si) {
              : (void)cc.apply(ctx, ds::s_pop<SimCtx>, 0);
         break;
       case StackImpl::kTreiber:
-        push ? tr.push(ctx, v) : (void)tr.pop(ctx);
+        push ? tr->push(ctx, v) : (void)tr->pop(ctx);
         break;
       case StackImpl::kVl:
         push ? (void)vl->apply(ctx, ds::s_push<SimCtx>, v)
@@ -702,7 +718,7 @@ RunResult run_stack(const RunCfg& cfg, StackImpl si) {
         case StackImpl::kShm: acc(shm.stats(t)); break;
         case StackImpl::kCc: acc(cc.stats(t)); break;
         case StackImpl::kTreiber: {
-          sum.cas_attempts += tr.stats(t).cas_failures;
+          sum.cas_attempts += tr->stats(t).cas_failures;
           break;
         }
         case StackImpl::kVl: acc(vl->stats(t)); break;

@@ -1,5 +1,5 @@
 // Golden-trace determinism regression tests for the engine hot-path
-// overhaul, plus the zero-allocation contract.
+// overhaul, plus the zero-allocation contract and per-run arena bounds.
 //
 // The golden constants below were captured by running these exact scenarios
 // against the SEED engine (std::function + std::priority_queue events,
@@ -16,12 +16,10 @@
 // this file do cover them.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <string>
 
+#include "alloc_count.hpp"
 #include "arch/params.hpp"
 #include "arch/topology.hpp"
 #include "arch/udn.hpp"
@@ -33,26 +31,6 @@
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/trace.hpp"
-
-// ---------------------------------------------------------------------------
-// Allocation-counting hook: global operator new/delete tally every heap
-// allocation in the binary. Tests read the delta across a steady-state
-// window to prove the engine allocates nothing per event/message.
-// ---------------------------------------------------------------------------
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  ++g_allocs;
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace hmps {
 namespace {
@@ -104,7 +82,7 @@ TEST(GoldenTrace, SchedulerInterleave) {
   for (std::uint32_t j = 0; j < 6; ++j) {
     s.spawn([&s, &fp, j] {
       sim::Xoshiro256 rng(1000 + j);
-      for (int i = 0; i < 400; ++i) {
+      for (std::uint32_t i = 0; i < 400; ++i) {
         fp.mix(j);
         fp.mix(s.now());
         if (i % 7 == j % 7) {
@@ -346,7 +324,7 @@ TEST(ZeroAlloc, EventQueueSteadyState) {
     while (!q.empty()) q.pop(&t)();
   }
 
-  const std::uint64_t allocs_before = g_allocs.load();
+  const std::uint64_t allocs_before = test::all_allocs().calls;
   const auto spills_before = q.counters().spill_allocs;
   for (int round = 0; round < 100; ++round) {
     for (int i = 0; i < 256; ++i) {
@@ -354,7 +332,7 @@ TEST(ZeroAlloc, EventQueueSteadyState) {
     }
     while (!q.empty()) q.pop(&t)();
   }
-  EXPECT_EQ(g_allocs.load() - allocs_before, 0u);
+  EXPECT_EQ(test::all_allocs().calls - allocs_before, 0u);
   EXPECT_EQ(q.counters().spill_allocs - spills_before, 0u);
   EXPECT_GT(fired, 0u);
 }
@@ -374,7 +352,7 @@ TEST(ZeroAlloc, UdnPingPongSteadyState) {
     for (;;) {
       udn.send(0, 5, 0, w, 3);
       udn.receive(0, 1, w, 3);
-      if (++rounds == 1000) allocs_at_steady = g_allocs.load();
+      if (++rounds == 1000) allocs_at_steady = test::all_allocs().calls;
       if (rounds == 11000) {
         s.stop();
         return;
@@ -390,8 +368,98 @@ TEST(ZeroAlloc, UdnPingPongSteadyState) {
   });
   s.run();
   EXPECT_EQ(rounds, 11000u);
-  EXPECT_EQ(g_allocs.load() - allocs_at_steady, 0u);
+  EXPECT_EQ(test::all_allocs().calls - allocs_at_steady, 0u);
   EXPECT_EQ(s.engine_counters().spill_allocs, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Per-run arena gate: a harness driver builds only the object its run
+// simulates. Aligned allocations are the simulated structures' node arenas
+// (rt::AlignedArray) and over-aligned objects, so their calls and bytes per
+// run are exact. Each bound is the measured value plus 2 calls and 32 KiB;
+// the smallest arena a driver could build by mistake (8192 queue or stack
+// nodes) is 128 KiB, and an unused LCRQ is thousands of calls.
+// ---------------------------------------------------------------------------
+
+/// Aligned allocations of one `run()`, measured after an identical warm-up
+/// run so process-lifetime caches are never charged to it.
+template <class Run>
+test::AllocTally aligned_allocs_of(Run run) {
+  run();
+  const test::AllocTally before = test::aligned_allocs();
+  run();
+  return test::aligned_allocs() - before;
+}
+
+void expect_arenas_within(const test::AllocTally& got, std::uint64_t calls,
+                          std::uint64_t bytes) {
+  EXPECT_GT(got.calls, 0u);  // the aligned forms are really counted
+  EXPECT_LE(got.calls, calls + 2);
+  EXPECT_LE(got.bytes, bytes + 32 * 1024);
+}
+
+harness::RunCfg short_run_cfg() {
+  harness::RunCfg cfg;
+  cfg.app_threads = 4;
+  cfg.warmup = 2'000;
+  cfg.window = 10'000;
+  cfg.reps = 1;
+  return cfg;
+}
+
+// The unused LCRQ (4096 rings), queue, stack and elimination stack would
+// add 8,195 calls and about 3 MB.
+TEST(AllocGate, CounterRecordHistory) {
+  expect_arenas_within(aligned_allocs_of([] {
+                         harness::record_history(harness::RecordCfg{});
+                       }),
+                       7, 93'696);
+}
+
+// Unused queue and stack farms would add 16 arenas of 128 KiB each.
+TEST(AllocGate, ShardedCounterRecordHistory) {
+  expect_arenas_within(aligned_allocs_of([] {
+                         harness::RecordCfg cfg;
+                         cfg.construction = harness::Construction::kSharded;
+                         cfg.shards = 4;
+                         harness::record_history(cfg);
+                       }),
+                       1, 67'584);
+}
+
+// An unused 8192-ring LCRQ would add 16,384 calls and 10 MB.
+TEST(AllocGate, MpQueueRun) {
+  expect_arenas_within(aligned_allocs_of([] {
+                         harness::run_queue(short_run_cfg(),
+                                            harness::QueueImpl::kMp1);
+                       }),
+                       5, 342'144);
+}
+
+// An unused 16384-node SeqStack would add a 256 KiB arena.
+TEST(AllocGate, TreiberStackRun) {
+  expect_arenas_within(aligned_allocs_of([] {
+                         harness::run_stack(short_run_cfg(),
+                                            harness::StackImpl::kTreiber);
+                       }),
+                       5, 8'468'608);
+}
+
+// An unused queue farm would add 64 arenas of 128 KiB each.
+TEST(AllocGate, ShardedCounterServiceOn16x16) {
+  expect_arenas_within(aligned_allocs_of([] {
+                         harness::ServiceCfg cfg;
+                         cfg.base = short_run_cfg();
+                         cfg.base.machine.mesh_w = 16;
+                         cfg.base.machine.mesh_h = 16;
+                         cfg.base.machine.model_link_contention = true;
+                         cfg.sessions = 40;
+                         cfg.objects = 64;
+                         cfg.shards = 8;
+                         cfg.offered_mops = 100;
+                         harness::run_service_sharded(cfg);
+                       }),
+                       1, 67'584);
 }
 
 // Fuzz the (time, seq) total order across the timing wheel's near/far split:
