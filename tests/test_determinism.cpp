@@ -615,6 +615,340 @@ TEST(RunEntryFingerprint, ShmServerServiceRun) {
             3214122818286159705ull);
 }
 
+// Every driver x construction pair below was captured before the harness
+// drivers were rewritten over one construction registry; the rewrite must
+// reproduce each run entry and each recorded history bit for bit.
+
+std::uint64_t entry_fp(obs::MetricsRegistry& reg) {
+  return fnv1a(reg.root()["runs"].items().at(0).dump());
+}
+
+TEST(RunEntryFingerprint, MessagePassingAndTasCounterRuns) {
+  using harness::Approach;
+  const CounterGold gold[] = {
+      {Approach::kMpServer, 4, 9045050927802811668ull},
+      {Approach::kMpServer, 12, 510599547167773391ull},
+      {Approach::kTasLock, 4, 11647867252995423190ull},
+      {Approach::kTasLock, 12, 8331477021911491379ull},
+      {Approach::kVlinkServer, 4, 15014308954605570933ull},
+      {Approach::kVlinkServer, 12, 6498328739733227304ull},
+  };
+  for (const CounterGold& g : gold) {
+    EXPECT_EQ(counter_entry_fp(g.approach, g.threads), g.fp)
+        << harness::approach_name(g.approach) << " @ " << g.threads;
+  }
+}
+
+// Section 6 credit loops: max_inflight = 2 with synchronous clients (the
+// plain gate) and with async trains of 4 (the draining gate).
+struct CreditGold {
+  harness::Approach approach;
+  std::uint32_t async_batch;
+  std::uint64_t fp;
+};
+
+TEST(RunEntryFingerprint, CreditGatedCounterRuns) {
+  using harness::Approach;
+  const CreditGold gold[] = {
+      {Approach::kMpServer, 0, 4641513294623888528ull},
+      {Approach::kMpServer, 4, 9298612808271670542ull},
+      {Approach::kHybComb, 0, 15244499479780214758ull},
+      {Approach::kHybComb, 4, 10256832890896664995ull},
+      {Approach::kVlinkServer, 0, 10353948543585962292ull},
+      {Approach::kVlinkServer, 4, 4963332722659012191ull},
+  };
+  for (const CreditGold& g : gold) {
+    obs::MetricsRegistry reg;
+    reg.stamp("fingerprint", 0, nullptr);
+    harness::RunCfg cfg = fingerprint_cfg(8, &reg);
+    cfg.max_inflight = 2;
+    cfg.async_batch = g.async_batch;
+    harness::run_counter(cfg, g.approach);
+    EXPECT_EQ(entry_fp(reg), g.fp)
+        << harness::approach_name(g.approach) << " batch " << g.async_batch;
+  }
+}
+
+struct QueueGold {
+  harness::QueueImpl impl;
+  std::uint32_t async_batch;
+  std::uint64_t max_inflight;
+  std::uint64_t fp;
+};
+
+TEST(RunEntryFingerprint, QueueRuns) {
+  using harness::QueueImpl;
+  const QueueGold gold[] = {
+      {QueueImpl::kMp1, 0, 0, 15520528433809414634ull},
+      {QueueImpl::kHyb1, 0, 0, 3288813228829358984ull},
+      {QueueImpl::kShm1, 0, 0, 9205936531794697111ull},
+      {QueueImpl::kCc1, 0, 0, 16681731888583101385ull},
+      {QueueImpl::kMp2, 0, 0, 13036423895374999172ull},
+      {QueueImpl::kLcrq, 0, 0, 1761672817480402316ull},
+      {QueueImpl::kVl1, 0, 0, 16138697499434084340ull},
+      {QueueImpl::kMp1, 4, 0, 3072121670447464039ull},
+      {QueueImpl::kMp1, 4, 2, 14445342049065675255ull},
+  };
+  for (const QueueGold& g : gold) {
+    obs::MetricsRegistry reg;
+    reg.stamp("fingerprint", 0, nullptr);
+    harness::RunCfg cfg = fingerprint_cfg(6, &reg);
+    cfg.async_batch = g.async_batch;
+    cfg.max_inflight = g.max_inflight;
+    harness::run_queue(cfg, g.impl);
+    EXPECT_EQ(entry_fp(reg), g.fp)
+        << harness::queue_name(g.impl) << " batch " << g.async_batch
+        << " inflight " << g.max_inflight;
+  }
+}
+
+struct StackGold {
+  harness::StackImpl impl;
+  std::uint64_t fp;
+};
+
+TEST(RunEntryFingerprint, StackRuns) {
+  using harness::StackImpl;
+  const StackGold gold[] = {
+      {StackImpl::kMp, 16375624872749783592ull},      {StackImpl::kHyb, 11949263228882598901ull},
+      {StackImpl::kShm, 1452356397445849023ull},     {StackImpl::kCc, 2428451119178862461ull},
+      {StackImpl::kTreiber, 10709164765279369581ull}, {StackImpl::kVl, 9008975416668180886ull},
+  };
+  for (const StackGold& g : gold) {
+    obs::MetricsRegistry reg;
+    reg.stamp("fingerprint", 0, nullptr);
+    harness::run_stack(fingerprint_cfg(6, &reg), g.impl);
+    EXPECT_EQ(entry_fp(reg), g.fp) << harness::stack_name(g.impl);
+  }
+}
+
+harness::ServiceCfg service_fp_cfg(obs::MetricsRegistry* reg, bool queue,
+                                   std::uint32_t async_batch) {
+  harness::ServiceCfg cfg;
+  cfg.base = fingerprint_cfg(0, reg);
+  cfg.base.async_batch = async_batch;
+  cfg.sessions = 6;
+  cfg.offered_mops = 6.0;
+  cfg.arrival = harness::ArrivalModel::kMmpp;
+  cfg.queue_object = queue;
+  return cfg;
+}
+
+struct ServiceGold {
+  harness::Approach approach;
+  bool queue;
+  std::uint32_t async_batch;
+  std::uint64_t max_inflight;
+  std::uint64_t fp;
+};
+
+TEST(RunEntryFingerprint, ServiceRuns) {
+  using harness::Approach;
+  const ServiceGold gold[] = {
+      {Approach::kMpServer, false, 0, 0, 10130093663795579053ull},
+      {Approach::kMpServer, true, 0, 0, 16861606976934647340ull},
+      {Approach::kMpServer, false, 4, 0, 10943698692360758226ull},
+      {Approach::kMpServer, true, 4, 0, 2924042665465995455ull},
+      {Approach::kHybComb, false, 0, 0, 12960736567387393606ull},
+      {Approach::kHybComb, true, 0, 0, 12505413606247467477ull},
+      {Approach::kHybComb, false, 4, 0, 7152279242347875396ull},
+      {Approach::kHybComb, true, 4, 0, 3041195229043477762ull},
+      {Approach::kShmServer, false, 0, 0, 3214122818286159705ull},
+      {Approach::kShmServer, true, 0, 0, 1014999618159999347ull},
+      {Approach::kShmServer, false, 4, 0, 4969868178954220255ull},
+      {Approach::kShmServer, true, 4, 0, 7894049979556802322ull},
+      {Approach::kCcSynch, false, 0, 0, 9600798136862828013ull},
+      {Approach::kCcSynch, true, 0, 0, 11607528394422514351ull},
+      {Approach::kVlinkServer, false, 0, 0, 8439297840480062664ull},
+      {Approach::kVlinkServer, true, 0, 0, 16271383485406006936ull},
+      {Approach::kVlinkServer, false, 4, 0, 3495698154883662030ull},
+      {Approach::kVlinkServer, true, 4, 0, 10991481768922462299ull},
+      {Approach::kMpServer, true, 4, 2, 12248875875027905223ull},
+      {Approach::kHybComb, true, 4, 2, 14114394147497980403ull},
+      {Approach::kVlinkServer, true, 4, 2, 15361191682713282128ull},
+  };
+  for (const ServiceGold& g : gold) {
+    obs::MetricsRegistry reg;
+    reg.stamp("fingerprint", 0, nullptr);
+    harness::ServiceCfg cfg = service_fp_cfg(&reg, g.queue, g.async_batch);
+    cfg.base.max_inflight = g.max_inflight;
+    harness::run_service(cfg, g.approach);
+    EXPECT_EQ(entry_fp(reg), g.fp)
+        << harness::approach_name(g.approach) << (g.queue ? " queue" : "")
+        << " batch " << g.async_batch << " inflight " << g.max_inflight;
+  }
+}
+
+struct ShardedGold {
+  std::uint32_t shards;
+  bool queue;
+  std::uint32_t async_batch;
+  std::uint64_t max_inflight;
+  std::uint64_t fp;
+};
+
+TEST(RunEntryFingerprint, ShardedServiceRuns) {
+  const ShardedGold gold[] = {
+      {1, false, 1, 0, 16649830754283452581ull}, {1, false, 4, 0, 16214839005710647765ull},
+      {1, true, 1, 0, 5530459833312935545ull},  {1, true, 4, 0, 9622510585626957113ull},
+      {4, false, 1, 0, 2922167097569946077ull}, {4, false, 4, 0, 1788997346156108455ull},
+      {4, true, 1, 0, 7413519239590263545ull},  {4, true, 4, 0, 9247387103675531090ull},
+      {4, true, 4, 2, 2431711491273334256ull},
+  };
+  for (const ShardedGold& g : gold) {
+    obs::MetricsRegistry reg;
+    reg.stamp("fingerprint", 0, nullptr);
+    harness::ServiceCfg cfg = service_fp_cfg(&reg, g.queue, g.async_batch);
+    cfg.base.max_inflight = g.max_inflight;
+    cfg.shards = g.shards;
+    cfg.objects = 16;
+    harness::run_service_sharded(cfg);
+    EXPECT_EQ(entry_fp(reg), g.fp)
+        << g.shards << " shards" << (g.queue ? " queue" : "") << " batch "
+        << g.async_batch << " inflight " << g.max_inflight;
+  }
+}
+
+// FNV-1a over every field of a recorded history, plus its end state.
+std::uint64_t history_fp(const harness::RecordResult& r) {
+  Fp fp;
+  for (const harness::OpRecord& op : r.history) {
+    fp.mix(op.thread);
+    fp.mix(static_cast<std::uint64_t>(op.kind));
+    fp.mix(op.arg);
+    fp.mix(op.ret);
+    fp.mix(op.invoke);
+    fp.mix(op.response);
+    fp.mix(op.obj);
+  }
+  fp.mix(r.end_time);
+  fp.mix(r.finished_threads);
+  fp.mix(r.completed ? 1 : 0);
+  return fp.h;
+}
+
+struct RecordGold {
+  harness::Construction construction;
+  harness::Object object;
+  std::uint32_t async_depth;
+  std::uint64_t fp;
+};
+
+std::uint64_t record_fp(const RecordGold& g) {
+  harness::RecordCfg cfg;
+  cfg.params = arch::MachineParams::tilegx_small(4, 4);
+  cfg.construction = g.construction;
+  cfg.object = g.object;
+  cfg.async_depth = g.async_depth;
+  cfg.threads = 6;
+  cfg.ops_each = 24;
+  cfg.shards = 3;
+  return history_fp(harness::record_history(cfg));
+}
+
+// Also checks that a recorded history does not depend on what ran before
+// it in the same process: the whole table is recorded twice, the second
+// pass after every other run of this test.
+TEST(RunEntryFingerprint, RecordedHistories) {
+  using C = harness::Construction;
+  using O = harness::Object;
+  const RecordGold gold[] = {
+      {C::kMpServer, O::kCounter, 0, 15344692153195489534ull},
+      {C::kMpServer, O::kCounter, 4, 4492528400888124065ull},
+      {C::kMpServer, O::kQueue, 0, 5982992461043251946ull},
+      {C::kMpServer, O::kQueue, 4, 10829742784200948457ull},
+      {C::kMpServer, O::kStack, 0, 7343714863896891785ull},
+      {C::kMpServer, O::kStack, 4, 13790606394207365553ull},
+      {C::kHybComb, O::kCounter, 0, 790439025235928312ull},
+      {C::kHybComb, O::kCounter, 4, 341520429562958021ull},
+      {C::kHybComb, O::kQueue, 0, 2684925187125378605ull},
+      {C::kHybComb, O::kQueue, 4, 11726735831221698661ull},
+      {C::kHybComb, O::kStack, 0, 17737876644149419941ull},
+      {C::kHybComb, O::kStack, 4, 14617352648169948037ull},
+      {C::kShmServer, O::kCounter, 0, 5132618656134339445ull},
+      {C::kShmServer, O::kCounter, 4, 11464454283878494228ull},
+      {C::kShmServer, O::kQueue, 0, 12560413130378792889ull},
+      {C::kShmServer, O::kQueue, 4, 13627932771770347660ull},
+      {C::kShmServer, O::kStack, 0, 1333876319058410366ull},
+      {C::kShmServer, O::kStack, 4, 8596415873667467049ull},
+      {C::kCcSynch, O::kCounter, 0, 17673003813115965231ull},
+      {C::kCcSynch, O::kCounter, 4, 17673003813115965231ull},
+      {C::kCcSynch, O::kQueue, 0, 17431474274795050128ull},
+      {C::kCcSynch, O::kQueue, 4, 17431474274795050128ull},
+      {C::kCcSynch, O::kStack, 0, 6419038594577270692ull},
+      {C::kCcSynch, O::kStack, 4, 6419038594577270692ull},
+      {C::kDsmSynch, O::kCounter, 0, 11448641564070588982ull},
+      {C::kDsmSynch, O::kCounter, 4, 11448641564070588982ull},
+      {C::kDsmSynch, O::kQueue, 0, 4189157939060472927ull},
+      {C::kDsmSynch, O::kQueue, 4, 4189157939060472927ull},
+      {C::kDsmSynch, O::kStack, 0, 3068151689489774002ull},
+      {C::kDsmSynch, O::kStack, 4, 3068151689489774002ull},
+      {C::kFlatCombining, O::kCounter, 0, 6589325864416775211ull},
+      {C::kFlatCombining, O::kCounter, 4, 6589325864416775211ull},
+      {C::kFlatCombining, O::kQueue, 0, 6739004327206743856ull},
+      {C::kFlatCombining, O::kQueue, 4, 6739004327206743856ull},
+      {C::kFlatCombining, O::kStack, 0, 9835102482076006600ull},
+      {C::kFlatCombining, O::kStack, 4, 9835102482076006600ull},
+      {C::kHSynch, O::kCounter, 0, 9136457964496958794ull},
+      {C::kHSynch, O::kCounter, 4, 9136457964496958794ull},
+      {C::kHSynch, O::kQueue, 0, 175103441200094482ull},
+      {C::kHSynch, O::kQueue, 4, 175103441200094482ull},
+      {C::kHSynch, O::kStack, 0, 3590742662604194670ull},
+      {C::kHSynch, O::kStack, 4, 3590742662604194670ull},
+      {C::kOyama, O::kCounter, 0, 372721911905580716ull},
+      {C::kOyama, O::kCounter, 4, 372721911905580716ull},
+      {C::kOyama, O::kQueue, 0, 7862257292768553141ull},
+      {C::kOyama, O::kQueue, 4, 7862257292768553141ull},
+      {C::kOyama, O::kStack, 0, 11676268403428650970ull},
+      {C::kOyama, O::kStack, 4, 11676268403428650970ull},
+      {C::kMcsLock, O::kCounter, 0, 9572095991278820928ull},
+      {C::kMcsLock, O::kCounter, 4, 9572095991278820928ull},
+      {C::kMcsLock, O::kQueue, 0, 5833769866174010344ull},
+      {C::kMcsLock, O::kQueue, 4, 5833769866174010344ull},
+      {C::kMcsLock, O::kStack, 0, 14240355230031705451ull},
+      {C::kMcsLock, O::kStack, 4, 14240355230031705451ull},
+      {C::kMpServerHub, O::kCounter, 0, 15344692153195489534ull},
+      {C::kMpServerHub, O::kCounter, 4, 4492528400888124065ull},
+      {C::kMpServerHub, O::kQueue, 0, 5982992461043251946ull},
+      {C::kMpServerHub, O::kQueue, 4, 10829742784200948457ull},
+      {C::kMpServerHub, O::kStack, 0, 7343714863896891785ull},
+      {C::kMpServerHub, O::kStack, 4, 13790606394207365553ull},
+      {C::kSharded, O::kCounter, 0, 3526945686836273162ull},
+      {C::kSharded, O::kCounter, 4, 10801714240409322394ull},
+      {C::kSharded, O::kQueue, 0, 13829690992620289175ull},
+      {C::kSharded, O::kQueue, 4, 3004729542540598465ull},
+      {C::kSharded, O::kStack, 0, 12720408925631374260ull},
+      {C::kSharded, O::kStack, 4, 8012107465150038323ull},
+      {C::kVlink, O::kCounter, 0, 11840109336530719370ull},
+      {C::kVlink, O::kCounter, 4, 2564356669111589682ull},
+      {C::kVlink, O::kQueue, 0, 10545294104423471327ull},
+      {C::kVlink, O::kQueue, 4, 15960614487862448129ull},
+      {C::kVlink, O::kStack, 0, 11613198363587386998ull},
+      {C::kVlink, O::kStack, 4, 12881675955010169100ull},
+      {C::kHybComb, O::kLcrq, 0, 14046196413869059592ull},
+      {C::kHybComb, O::kElimStack, 0, 16047669163929823045ull},
+  };
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const RecordGold& g : gold) {
+      EXPECT_EQ(record_fp(g), g.fp)
+          << "pass " << pass << ": " << harness::to_string(g.construction)
+          << " " << harness::to_string(g.object) << " depth "
+          << g.async_depth;
+    }
+    if (pass == 0) {
+      // Unrelated work between the passes: a sharded fleet and a traced
+      // closed-loop run leave the host heap in a different state.
+      obs::MetricsRegistry reg;
+      reg.stamp("fingerprint", 0, nullptr);
+      harness::run_service_sharded(service_fp_cfg(&reg, true, 4));
+      sim::Tracer sink;
+      harness::RunCfg cfg = fingerprint_cfg(12, &reg);
+      cfg.obs.trace = &sink;
+      harness::run_counter(cfg, harness::Approach::kHybComb);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Poll elision (docs/ENGINE.md): a sleeping poller's polls are applied in
 // bulk when its line is written, so for every spinning construction the
