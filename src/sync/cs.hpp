@@ -123,12 +123,55 @@ struct SyncStats {
     shed_ops += o.shed_ops;
   }
 
+  /// Field-wise difference from an earlier snapshot of the same counters.
+  SyncStats since(const SyncStats& prev) const {
+    SyncStats d;
+    d.ops = ops - prev.ops;
+    d.served = served - prev.served;
+    d.tenures = tenures - prev.tenures;
+    d.cas_attempts = cas_attempts - prev.cas_attempts;
+    d.cas_failures = cas_failures - prev.cas_failures;
+    d.throttle_waits = throttle_waits - prev.throttle_waits;
+    d.stall_timeouts = stall_timeouts - prev.stall_timeouts;
+    d.async_issued = async_issued - prev.async_issued;
+    d.async_batched = async_batched - prev.async_batched;
+    d.shed_ops = shed_ops - prev.shed_ops;
+    return d;
+  }
+
   /// Average requests executed per combining round (Fig. 4b).
   double combining_rate() const {
     return tenures ? static_cast<double>(served) / static_cast<double>(tenures)
                    : 0.0;
   }
 };
+
+/// Section 6 in-flight credit gate (docs/ROBUSTNESS.md): spins through
+/// shared memory, so without message-buffer pressure, until `*credits` is
+/// below `limit`, then claims one credit with CAS. Each lost round counts a
+/// throttle wait and runs `drain`, which may move one already-arrived reply
+/// of the caller's own tickets out of its queue and returns whether it did;
+/// a round that drained nothing relaxes the core instead. Async issuers
+/// must drain: a thread whose unreaped tickets hold every credit would
+/// otherwise spin forever (docs/MODEL.md §9).
+template <class Ctx, class Drain>
+void acquire_credit(Ctx& ctx, Word* credits, std::uint64_t limit,
+                    SyncStats& st, Drain drain) {
+  // Literal loop: it ends on a won CAS, not on a loaded value.
+  for (;;) {
+    const std::uint64_t cur = ctx.load(credits);
+    if (cur < limit && ctx.cas(credits, cur, cur + 1)) return;
+    ++st.throttle_waits;
+    if (!drain()) ctx.cpu_relax();
+  }
+}
+
+/// The credit gate for synchronous callers, which have no replies to drain.
+template <class Ctx>
+void acquire_credit(Ctx& ctx, Word* credits, std::uint64_t limit,
+                    SyncStats& st) {
+  acquire_credit(ctx, credits, limit, st, [] { return false; });
+}
 
 /// Exploration yield point at a named sync-layer boundary (`where` must
 /// have static storage duration). Compiles to nothing for contexts without

@@ -267,22 +267,6 @@ class HybComb {
     }
   }
 
-  /// Spin (through shared memory) until one of `node`'s in-flight credits
-  /// is free. Liveness: the active combiner's registrants release credits
-  /// as they are served, so the combiner is never starved of requests.
-  void acquire_credit(Ctx& ctx, Node* node, SyncStats& st) {
-    // Literal loop: it ends on a won CAS, not on a loaded value.
-    for (;;) {
-      const std::uint64_t cur = ctx.load(&node->inflight);
-      if (cur < opts_.max_inflight &&
-          ctx.cas(&node->inflight, cur, cur + 1)) {
-        return;
-      }
-      ++st.throttle_waits;
-      ctx.cpu_relax();
-    }
-  }
-
   struct alignas(rt::kCacheLine) AsyncSt {
     std::uint64_t next_tag = 1;
     std::uint32_t outstanding = 0;  ///< issued minus reaped
@@ -306,10 +290,13 @@ class HybComb {
         const Tid comb =
             static_cast<Tid>(ctx.load(&last_reg->thread_id));
         if (opts_.max_inflight) {
+          // Liveness: the active combiner's registrants release credits
+          // as they are served, so the combiner is never starved.
           if (tag == 0) {
-            acquire_credit(ctx, last_reg, st);
+            acquire_credit(ctx, &last_reg->inflight, opts_.max_inflight, st);
           } else {
-            acquire_credit_draining(ctx, last_reg, st, async_[tid]);
+            acquire_credit(ctx, &last_reg->inflight, opts_.max_inflight, st,
+                           [&] { return drain_reply(ctx, async_[tid]); });
           }
         }
         explore_point(ctx, "hyb.pre_send");
@@ -444,31 +431,20 @@ class HybComb {
     }
   }
 
-  /// Async-issue credit acquire. Liveness needs no drain here — credits
-  /// release through the combiner's own serving progress — but replies that
-  /// already arrived for this thread's outstanding tickets are moved to the
-  /// stash anyway, so an issuer parked on a credit never lets its hardware
-  /// queue fill up with undrained replies (which would eventually block the
-  /// combiner's reply sends on small buffers).
-  void acquire_credit_draining(Ctx& ctx, Node* node, SyncStats& st,
-                               AsyncSt& a) {
-    // Literal loop: it ends on a won CAS and drains replies meanwhile.
-    for (;;) {
-      const std::uint64_t cur = ctx.load(&node->inflight);
-      if (cur < opts_.max_inflight &&
-          ctx.cas(&node->inflight, cur, cur + 1)) {
-        return;
-      }
-      ++st.throttle_waits;
-      if (a.outstanding > 0 && !ctx.queue_empty()) {
-        std::uint64_t m[3];
-        ctx.receive_async(m, 3);
-        assert(is_reply_frame(m[0]));
-        ctx.stage_reply(reply_tag(m[0]), m[1]);
-      } else {
-        ctx.cpu_relax();
-      }
-    }
+  /// Credit-gate drain step for async issuers. Liveness needs no drain
+  /// here — credits release through the combiner's own serving progress —
+  /// but replies that already arrived for this thread's outstanding tickets
+  /// are moved to the stash anyway, so an issuer parked on a credit never
+  /// lets its hardware queue fill up with undrained replies (which would
+  /// eventually block the combiner's reply sends on small buffers). The
+  /// 3-word reply frame releases no credit.
+  bool drain_reply(Ctx& ctx, AsyncSt& a) {
+    if (a.outstanding == 0 || ctx.queue_empty()) return false;
+    std::uint64_t m[3];
+    ctx.receive_async(m, 3);
+    assert(is_reply_frame(m[0]));
+    ctx.stage_reply(reply_tag(m[0]), m[1]);
+    return true;
   }
 
   void* obj_;

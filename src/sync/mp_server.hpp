@@ -54,7 +54,7 @@ class MpServer {
       ctx.send(server_, {tid, rt::to_word(fn), arg});
       return ctx.receive1();
     }
-    acquire_credit(ctx, stats_[tid].s);
+    acquire_credit(ctx, &inflight_, max_inflight_, stats_[tid].s);
     ctx.send(server_, {tid, rt::to_word(fn), arg});
     const std::uint64_t ret = ctx.receive1();
     ctx.faa(&inflight_, ~std::uint64_t{0});  // release (+(-1))
@@ -72,7 +72,10 @@ class MpServer {
     AsyncSt& a = async_[tid];
     obs::Span<Ctx> span(ctx, "mp.request");
     explore_point(ctx, "mp.async_issue");
-    if (max_inflight_ != 0) acquire_credit_draining(ctx, st, a);
+    if (max_inflight_ != 0) {
+      acquire_credit(ctx, &inflight_, max_inflight_, st,
+                     [&] { return drain_reply(ctx, a); });
+    }
     const std::uint64_t tag = a.next_tag;
     a.next_tag = a.next_tag == kAsyncTagMask ? 1 : a.next_tag + 1;
     ctx.send(server_, {pack_request_id(tid, tag), rt::to_word(fn), arg});
@@ -181,38 +184,15 @@ class MpServer {
     std::uint32_t outstanding = 0;  ///< issued minus reaped
   };
 
-  /// Spin (through shared memory, so no message-buffer pressure) until an
-  /// in-flight credit is free, then claim it with CAS.
-  void acquire_credit(Ctx& ctx, SyncStats& st) {
-    // Literal loop: it ends on a won CAS, not on a loaded value.
-    for (;;) {
-      const std::uint64_t cur = ctx.load(&inflight_);
-      if (cur < max_inflight_ && ctx.cas(&inflight_, cur, cur + 1)) return;
-      ++st.throttle_waits;
-      ctx.cpu_relax();
-    }
-  }
-
-  /// Async-issue variant: while spinning for a credit, drain replies that
-  /// already arrived for this thread's own outstanding tickets into the
-  /// context stash (each arrival releases its credit). Without the drain a
-  /// thread whose unreaped tickets hold every credit would spin forever —
-  /// the self-deadlock discussed in docs/MODEL.md §9.
-  void acquire_credit_draining(Ctx& ctx, SyncStats& st, AsyncSt& a) {
-    // Literal loop: it ends on a won CAS and drains replies meanwhile.
-    for (;;) {
-      const std::uint64_t cur = ctx.load(&inflight_);
-      if (cur < max_inflight_ && ctx.cas(&inflight_, cur, cur + 1)) return;
-      ++st.throttle_waits;
-      if (a.outstanding > 0 && !ctx.queue_empty()) {
-        std::uint64_t m[2];
-        ctx.receive_async(m, 2);
-        ctx.stage_reply(reply_tag(m[0]), m[1]);
-        ctx.faa(&inflight_, ~std::uint64_t{0});
-      } else {
-        ctx.cpu_relax();
-      }
-    }
+  /// Credit-gate drain step: stashes one reply that already arrived for
+  /// this thread's own tickets and releases its credit (docs/MODEL.md §9).
+  bool drain_reply(Ctx& ctx, AsyncSt& a) {
+    if (a.outstanding == 0 || ctx.queue_empty()) return false;
+    std::uint64_t m[2];
+    ctx.receive_async(m, 2);
+    ctx.stage_reply(reply_tag(m[0]), m[1]);
+    ctx.faa(&inflight_, ~std::uint64_t{0});
+    return true;
   }
 
   Tid server_;

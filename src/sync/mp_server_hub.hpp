@@ -68,7 +68,7 @@ class MpServerHub {
       ctx.send(server_, {tid, opcode, arg});
       return ctx.receive1();
     }
-    acquire_credit(ctx, stats_[tid].s);
+    acquire_credit(ctx, &inflight_, max_inflight_, stats_[tid].s);
     ctx.send(server_, {tid, opcode, arg});
     const std::uint64_t ret = ctx.receive1();
     ctx.faa(&inflight_, ~std::uint64_t{0});  // release (+(-1))
@@ -85,7 +85,10 @@ class MpServerHub {
     AsyncSt& a = async_[tid];
     obs::Span<Ctx> span(ctx, "hub.request");
     explore_point(ctx, "hub.async_issue");
-    if (max_inflight_ != 0) acquire_credit_draining(ctx, st, a);
+    if (max_inflight_ != 0) {
+      acquire_credit(ctx, &inflight_, max_inflight_, st,
+                     [&] { return drain_reply(ctx, a); });
+    }
     const std::uint64_t tag = a.next_tag;
     a.next_tag = a.next_tag == kAsyncTagMask ? 1 : a.next_tag + 1;
     ctx.send(server_, {pack_request_id(tid, tag), opcode, arg});
@@ -185,36 +188,15 @@ class MpServerHub {
     std::uint32_t outstanding = 0;  ///< issued minus reaped
   };
 
-  /// Spin (through shared memory, so no message-buffer pressure) until an
-  /// in-flight credit is free, then claim it with CAS.
-  void acquire_credit(Ctx& ctx, SyncStats& st) {
-    // Literal loop: it ends on a won CAS, not on a loaded value.
-    for (;;) {
-      const std::uint64_t cur = ctx.load(&inflight_);
-      if (cur < max_inflight_ && ctx.cas(&inflight_, cur, cur + 1)) return;
-      ++st.throttle_waits;
-      ctx.cpu_relax();
-    }
-  }
-
-  /// Async-issue variant: drains this thread's already-arrived replies
-  /// while spinning so unreaped tickets can never hold every credit against
-  /// their own issuer (docs/MODEL.md §9).
-  void acquire_credit_draining(Ctx& ctx, SyncStats& st, AsyncSt& a) {
-    // Literal loop: it ends on a won CAS and drains replies meanwhile.
-    for (;;) {
-      const std::uint64_t cur = ctx.load(&inflight_);
-      if (cur < max_inflight_ && ctx.cas(&inflight_, cur, cur + 1)) return;
-      ++st.throttle_waits;
-      if (a.outstanding > 0 && !ctx.queue_empty()) {
-        std::uint64_t m[2];
-        ctx.receive_async(m, 2);
-        ctx.stage_reply(reply_tag(m[0]), m[1]);
-        ctx.faa(&inflight_, ~std::uint64_t{0});
-      } else {
-        ctx.cpu_relax();
-      }
-    }
+  /// Credit-gate drain step, as in MpServer: stashes one reply that
+  /// already arrived for this thread's own tickets and releases its credit.
+  bool drain_reply(Ctx& ctx, AsyncSt& a) {
+    if (a.outstanding == 0 || ctx.queue_empty()) return false;
+    std::uint64_t m[2];
+    ctx.receive_async(m, 2);
+    ctx.stage_reply(reply_tag(m[0]), m[1]);
+    ctx.faa(&inflight_, ~std::uint64_t{0});
+    return true;
   }
 
   Tid server_;

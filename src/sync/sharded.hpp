@@ -143,7 +143,9 @@ class ShardedServer {
     obs::Span<Ctx> span(ctx, "shard.request");
     const std::uint32_t s = route_resolve(ctx, obj);
     SyncStats& st = client_stats_[slot].s;
-    if (max_inflight_ != 0) acquire_credit(ctx, st, s);
+    if (max_inflight_ != 0) {
+      acquire_credit(ctx, &inflight_[s].v, max_inflight_, st);
+    }
     ctx.send(server_tid(s), {ctx.tid(), rt::to_word(fn), pack_obj_arg(obj, arg)});
     const std::uint64_t ret = ctx.receive1();
     if (max_inflight_ != 0) release_credit(ctx, s);
@@ -174,7 +176,9 @@ class ShardedServer {
     obs::Span<Ctx> span(ctx, "shard.request");
     const std::uint32_t s = route_resolve(ctx, src);
     SyncStats& st = client_stats_[slot].s;
-    if (max_inflight_ != 0) acquire_credit(ctx, st, s);
+    if (max_inflight_ != 0) {
+      acquire_credit(ctx, &inflight_[s].v, max_inflight_, st);
+    }
     ctx.send(server_tid(s), {ctx.tid(), kTransferWord, pack_obj_arg(src, dst)});
     const std::uint64_t ret = ctx.receive1();
     if (max_inflight_ != 0) release_credit(ctx, s);
@@ -361,7 +365,10 @@ class ShardedServer {
     SyncStats& st = client_stats_[slot].s;
     obs::Span<Ctx> span(ctx, "shard.request");
     explore_point(ctx, "shard.async_issue");
-    if (max_inflight_ != 0) acquire_credit_draining(ctx, st, c, s);
+    if (max_inflight_ != 0) {
+      acquire_credit(ctx, &inflight_[s].v, max_inflight_, st,
+                     [&] { return drain_reply(ctx, c); });
+    }
     std::uint64_t seq = c.seq[s];
     if (seq == 0 || seq > kSeqMask) [[unlikely]] {
       // The 26-bit sequence wraps back to 1. Recycling tags while tickets
@@ -476,41 +483,18 @@ class ShardedServer {
     return slot;
   }
 
-  void acquire_credit(Ctx& ctx, SyncStats& st, std::uint32_t s) {
-    // Literal loop: it ends on a won CAS, not on a loaded value.
-    for (;;) {
-      const std::uint64_t cur = ctx.load(&inflight_[s].v);
-      if (cur < max_inflight_ && ctx.cas(&inflight_[s].v, cur, cur + 1)) {
-        return;
-      }
-      ++st.throttle_waits;
-      ctx.cpu_relax();
-    }
-  }
-
-  /// Async-issue variant of acquire_credit: drains already-arrived replies
-  /// (any shard's) into the context stash while spinning, releasing their
-  /// credits — without it a client whose unreaped tickets hold every credit
-  /// of shard `s` would spin forever (docs/MODEL.md §9).
-  void acquire_credit_draining(Ctx& ctx, SyncStats& st, ClientSt& c,
-                               std::uint32_t s) {
-    // Literal loop: it ends on a won CAS and drains replies meanwhile.
-    for (;;) {
-      const std::uint64_t cur = ctx.load(&inflight_[s].v);
-      if (cur < max_inflight_ && ctx.cas(&inflight_[s].v, cur, cur + 1)) {
-        return;
-      }
-      ++st.throttle_waits;
-      if (c.total_outstanding > 0 && !ctx.queue_empty()) {
-        std::uint64_t m[2];
-        ctx.receive_async(m, 2);
-        const std::uint64_t got = reply_tag(m[0]);
-        ctx.stage_reply(got, m[1]);
-        release_credit(ctx, tag_shard(got));
-      } else {
-        ctx.cpu_relax();
-      }
-    }
+  /// Credit-gate drain step: stashes one already-arrived reply (any
+  /// shard's) and releases its credit on the shard its tag names — without
+  /// it a client whose unreaped tickets hold every credit of a shard would
+  /// spin forever (docs/MODEL.md §9).
+  bool drain_reply(Ctx& ctx, ClientSt& c) {
+    if (c.total_outstanding == 0 || ctx.queue_empty()) return false;
+    std::uint64_t m[2];
+    ctx.receive_async(m, 2);
+    const std::uint64_t got = reply_tag(m[0]);
+    ctx.stage_reply(got, m[1]);
+    release_credit(ctx, tag_shard(got));
+    return true;
   }
 
   void release_credit(Ctx& ctx, std::uint32_t s) {

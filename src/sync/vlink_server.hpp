@@ -71,7 +71,9 @@ class VlinkServer {
     ensure_reply_channel(ctx, tid);
     obs::Span<Ctx> span(ctx, "vlink.request");
     explore_point(ctx, "vlink.pre_send");
-    if (max_inflight_ != 0) acquire_credit(ctx, stats_[tid].s);
+    if (max_inflight_ != 0) {
+      acquire_credit(ctx, &inflight_, max_inflight_, stats_[tid].s);
+    }
     ctx.vlink_push(req_ch_, {tid, rt::to_word(fn), arg});
     std::uint64_t m[2];
     ctx.vlink_pop(reply_ch_[tid], m, 2);
@@ -90,7 +92,10 @@ class VlinkServer {
     AsyncSt& a = async_[tid];
     obs::Span<Ctx> span(ctx, "vlink.request");
     explore_point(ctx, "vlink.async_issue");
-    if (max_inflight_ != 0) acquire_credit_draining(ctx, st, a);
+    if (max_inflight_ != 0) {
+      acquire_credit(ctx, &inflight_, max_inflight_, st,
+                     [&] { return drain_reply(ctx, a); });
+    }
     const std::uint64_t tag = a.next_tag;
     a.next_tag = a.next_tag == kAsyncTagMask ? 1 : a.next_tag + 1;
     ctx.vlink_push(req_ch_, {pack_request_id(tid, tag), rt::to_word(fn), arg});
@@ -208,35 +213,16 @@ class VlinkServer {
     }
   }
 
-  void acquire_credit(Ctx& ctx, SyncStats& st) {
-    // Literal loop: it ends on a won CAS, not on a loaded value.
-    for (;;) {
-      const std::uint64_t cur = ctx.load(&inflight_);
-      if (cur < max_inflight_ && ctx.cas(&inflight_, cur, cur + 1)) return;
-      ++st.throttle_waits;
-      ctx.cpu_relax();
-    }
-  }
-
-  /// While spinning for a credit, drain replies already delivered for this
-  /// thread's own tickets (each releases its credit) — without the drain a
-  /// thread whose unreaped tickets hold every credit spins forever
-  /// (docs/MODEL.md §9).
-  void acquire_credit_draining(Ctx& ctx, SyncStats& st, AsyncSt& a) {
-    // Literal loop: it ends on a won CAS and drains replies meanwhile.
-    for (;;) {
-      const std::uint64_t cur = ctx.load(&inflight_);
-      if (cur < max_inflight_ && ctx.cas(&inflight_, cur, cur + 1)) return;
-      ++st.throttle_waits;
-      if (a.outstanding > 0 && !ctx.vlink_empty(reply_ch_[ctx.tid()])) {
-        std::uint64_t m[2];
-        ctx.vlink_pop_async(reply_ch_[ctx.tid()], m, 2);
-        ctx.stage_reply(reply_tag(m[0]), m[1]);
-        ctx.faa(&inflight_, ~std::uint64_t{0});
-      } else {
-        ctx.cpu_relax();
-      }
-    }
+  /// Credit-gate drain step: stashes one reply already delivered for this
+  /// thread's own tickets and releases its credit (docs/MODEL.md §9).
+  bool drain_reply(Ctx& ctx, AsyncSt& a) {
+    const std::uint32_t ch = reply_ch_[ctx.tid()];
+    if (a.outstanding == 0 || ctx.vlink_empty(ch)) return false;
+    std::uint64_t m[2];
+    ctx.vlink_pop_async(ch, m, 2);
+    ctx.stage_reply(reply_tag(m[0]), m[1]);
+    ctx.faa(&inflight_, ~std::uint64_t{0});
+    return true;
   }
 
   arch::VlinkFabric& fab_;
