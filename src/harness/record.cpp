@@ -8,21 +8,11 @@
 #include "ds/lcrq.hpp"
 #include "ds/queue.hpp"
 #include "ds/stack.hpp"
+#include "harness/registry.hpp"
 #include "runtime/sim_context.hpp"
 #include "runtime/sim_executor.hpp"
 #include "sim/perturb.hpp"
-#include "sync/ccsynch.hpp"
-#include "sync/dsm_synch.hpp"
-#include "sync/flat_combining.hpp"
-#include "sync/hsynch.hpp"
-#include "sync/hybcomb.hpp"
-#include "sync/locks.hpp"
-#include "sync/mp_server.hpp"
-#include "sync/mp_server_hub.hpp"
-#include "sync/oyama.hpp"
 #include "sync/sharded.hpp"
-#include "sync/shm_server.hpp"
-#include "sync/vlink_server.hpp"
 
 namespace hmps::harness {
 
@@ -31,26 +21,8 @@ namespace {
 using rt::SimCtx;
 using rt::SimExecutor;
 
-constexpr const char* kConstructionNames[kNumConstructions] = {
-    "mp_server", "hybcomb", "shm_server", "ccsynch", "dsm_synch",
-    "flat_combining", "hsynch", "oyama", "mcs_lock", "mp_server_hub",
-    "sharded", "vlink"};
-
 constexpr const char* kObjectNames[kNumObjects] = {
     "counter", "queue", "stack", "lcrq", "elim_stack"};
-
-/// MCS lock as a degenerate universal construction: lock, run the CS
-/// inline, unlock (the Section 3 baseline shape).
-struct McsUc {
-  sync::McsLock<SimCtx> lock;
-  void* obj;
-  std::uint64_t apply(SimCtx& ctx, sync::CsFn<SimCtx> fn, std::uint64_t arg) {
-    lock.lock(ctx);
-    const std::uint64_t r = fn(ctx, obj, arg);
-    lock.unlock(ctx);
-    return r;
-  }
-};
 
 // ---- sharded fleet workload (docs/SHARDING.md) ----
 
@@ -284,9 +256,7 @@ RecordResult record_sharded(const RecordCfg& cfg, sim::Perturber* perturber) {
 
 }  // namespace
 
-const char* to_string(Construction c) {
-  return kConstructionNames[static_cast<std::uint8_t>(c)];
-}
+const char* to_string(Construction c) { return row_of(uc_of(c)).key; }
 
 const char* to_string(Object o) {
   return kObjectNames[static_cast<std::uint8_t>(o)];
@@ -294,7 +264,7 @@ const char* to_string(Object o) {
 
 bool construction_from_string(std::string_view s, Construction* out) {
   for (std::uint32_t i = 0; i < kNumConstructions; ++i) {
-    if (s == kConstructionNames[i]) {
+    if (s == to_string(static_cast<Construction>(i))) {
       *out = static_cast<Construction>(i);
       return true;
     }
@@ -312,22 +282,134 @@ bool object_from_string(std::string_view s, Object* out) {
   return false;
 }
 
-bool uses_server(Construction c) {
-  return c == Construction::kMpServer || c == Construction::kShmServer ||
-         c == Construction::kMpServerHub || c == Construction::kSharded ||
-         c == Construction::kVlink;
-}
+bool uses_server(Construction c) { return row_of(uc_of(c)).servers > 0; }
 
 std::uint32_t server_threads(Construction c, std::uint32_t shards) {
   if (c == Construction::kSharded) return shards == 0 ? 1 : shards;
-  return uses_server(c) ? 1 : 0;
+  return row_of(uc_of(c)).servers;
 }
 
-bool supports_async(Construction c) {
-  return c == Construction::kMpServer || c == Construction::kMpServerHub ||
-         c == Construction::kShmServer || c == Construction::kHybComb ||
-         c == Construction::kSharded || c == Construction::kVlink;
+bool supports_async(Construction c) { return row_of(uc_of(c)).async; }
+
+namespace {
+
+/// Elimination stack behind the CS interface: s_push pushes, anything else
+/// pops.
+struct ElimUc {
+  using Fn = sync::CsFn<SimCtx>;
+  ds::ElimStack<SimCtx>& st;
+  std::uint64_t apply(SimCtx& ctx, Fn fn, std::uint64_t arg) {
+    if (fn == &ds::s_push<SimCtx>) {
+      st.push(ctx, static_cast<std::uint32_t>(arg));
+      return 0;
+    }
+    return st.pop(ctx);
+  }
+};
+
+/// What a recorded operation does on each object: the record kinds and CS
+/// bodies of its produce and consume ops. The counter only increments.
+struct ObjectOps {
+  OpKind produce, consume;
+  sync::CsFn<SimCtx> produce_fn, consume_fn;
+  bool narrow;  ///< the concurrent structures hold 32-bit values
+};
+constexpr ObjectOps kObjectOps[kNumObjects] = {
+    {OpKind::kInc, OpKind::kInc, ds::counter_inc<SimCtx>,
+     ds::counter_inc<SimCtx>, false},
+    {OpKind::kEnq, OpKind::kDeq, ds::q_enqueue<SimCtx>, ds::q_dequeue<SimCtx>,
+     false},
+    {OpKind::kPush, OpKind::kPop, ds::s_push<SimCtx>, ds::s_pop<SimCtx>,
+     false},
+    {OpKind::kEnq, OpKind::kDeq, ds::q_enqueue<SimCtx>, ds::q_dequeue<SimCtx>,
+     true},
+    {OpKind::kPush, OpKind::kPop, ds::s_push<SimCtx>, ds::s_pop<SimCtx>,
+     true},
+};
+
+// Empty dequeues and pops already read as kNothing.
+static_assert(ds::kQEmpty == kNothing && ds::kStackEmpty == kNothing);
+
+/// Draws client i's k-th operation: fills the record's kind and argument
+/// and returns the CS body that performs it.
+sync::CsFn<SimCtx> draw_op(SimCtx& ctx, const RecordCfg& cfg, std::uint32_t i,
+                           std::uint32_t k, OpRecord& r) {
+  const ObjectOps& o = kObjectOps[static_cast<std::uint8_t>(cfg.object)];
+  r.thread = i;
+  const bool produce = ctx.rand_below(1000) < cfg.produce_permille;
+  if (!produce || o.produce == o.consume) {
+    r.kind = o.consume;
+    return o.consume_fn;
+  }
+  r.kind = o.produce;
+  r.arg = o.narrow ? ((static_cast<std::uint64_t>(i) & 0x7FFF) << 16) | k
+                   : (static_cast<std::uint64_t>(i) << 32) | k;
+  return o.produce_fn;
 }
+
+/// The recorded response value of an operation that returned `ret`.
+std::uint64_t response_value(OpKind kind, std::uint64_t ret) {
+  return kind == OpKind::kEnq || kind == OpKind::kPush ? 0 : ret;
+}
+
+/// record_history over construction `uc`: `ns` server fibers (tid 0), then
+/// cfg.threads clients. With depth >= 2 the clients issue trains of that
+/// many tickets and reap them in REVERSE order (deliberately exercising the
+/// out-of-order staging path); invocation is recorded at issue, response at
+/// reap, so the interval brackets the linearization point.
+template <class U>
+void record_clients(const RecordCfg& cfg, SimExecutor& ex, U& uc,
+                    std::uint32_t ns, std::uint32_t depth, RecordResult& res,
+                    HistoryRecorder& rec) {
+  if (ns > 0) ex.add_thread([&uc](SimCtx& ctx) { serve(uc, ctx, 0); });
+  auto think = [&cfg](SimCtx& ctx) {
+    if (cfg.think_max > 0) {
+      ctx.compute(
+          ctx.rand_below(static_cast<std::uint32_t>(cfg.think_max) + 1));
+    }
+  };
+  for (std::uint32_t i = 0; i < cfg.threads; ++i) {
+    ex.add_thread([&, i](SimCtx& ctx) {
+      if constexpr (AsyncUc<U>) {
+        std::uint32_t k = 0;
+        while (depth != 0 && k < cfg.ops_each) {
+          const std::uint32_t n = std::min(depth, cfg.ops_each - k);
+          OpRecord recs[16];
+          sync::Ticket tickets[16];
+          for (std::uint32_t j = 0; j < n; ++j, ++k) {
+            const sync::CsFn<SimCtx> fn = draw_op(ctx, cfg, i, k, recs[j]);
+            recs[j].invoke = ctx.now();
+            tickets[j] = uc.apply_async(ctx, fn, recs[j].arg);
+          }
+          for (std::uint32_t j = n; j-- > 0;) {
+            OpRecord& r = recs[j];
+            r.ret = response_value(r.kind, uc.wait(ctx, tickets[j]));
+            r.response = ctx.now();
+            rec.record(r);
+          }
+          think(ctx);
+        }
+      }
+      for (std::uint32_t k = 0; depth == 0 && k < cfg.ops_each; ++k) {
+        OpRecord r;
+        r.invoke = ctx.now();
+        const sync::CsFn<SimCtx> fn = draw_op(ctx, cfg, i, k, r);
+        r.ret = response_value(r.kind, uc.apply(ctx, fn, r.arg));
+        r.response = ctx.now();
+        rec.record(r);
+        think(ctx);
+      }
+      ++res.finished_threads;
+      if constexpr (requires { uc.request_stop(ctx); }) {
+        if (res.finished_threads == cfg.threads && ns > 0) {
+          uc.request_stop(ctx);
+        }
+      }
+    });
+  }
+}
+
+}  // namespace
 
 RecordResult record_history(const RecordCfg& cfg, sim::Perturber* perturber) {
   if (cfg.construction == Construction::kSharded) {
@@ -337,306 +419,56 @@ RecordResult record_history(const RecordCfg& cfg, sim::Perturber* perturber) {
   if (cfg.faults.enabled()) ex.machine().install_faults(cfg.faults);
   if (perturber != nullptr) ex.sched().set_perturber(perturber);
 
+  RecordResult res;
+  res.total_client_threads = cfg.threads;
+  HistoryRecorder rec;
+  auto run = [&] {
+    ex.run_until(cfg.horizon);
+    // Detach the perturber before teardown so no stale pointer survives
+    // the scenario (the executor dies with this frame anyway).
+    if (perturber != nullptr) ex.sched().set_perturber(nullptr);
+    res.completed = res.finished_threads == cfg.threads;
+    res.end_time = ex.sched().now();
+    res.history = rec.ops();
+    return res;
+  };
   // The object: only the one this run drives is built (an unused LCRQ alone
-  // would be 8192 ring allocations). `obj` is the CS object the
-  // constructions serialize; the concurrent structures have none.
+  // would be 8192 ring allocations). The concurrent structures run their
+  // own operations; for them the construction field is ignored.
   std::optional<ds::SeqCounter> counter;
   std::optional<ds::SeqQueue> queue;
   std::optional<ds::SeqStack> stack;
-  std::optional<ds::Lcrq<SimCtx>> lcrq;
-  std::optional<ds::ElimStack<SimCtx>> elim;
-
   void* obj = nullptr;
   switch (cfg.object) {
     case Object::kCounter: obj = &counter.emplace(); break;
     case Object::kQueue: obj = &queue.emplace(8192); break;
     case Object::kStack: obj = &stack.emplace(8192); break;
-    case Object::kLcrq: lcrq.emplace(5, 4096); break;
-    case Object::kElimStack: elim.emplace(256, 8, 64); break;
+    case Object::kLcrq: {
+      ds::Lcrq<SimCtx> q(5, 4096);
+      LcrqUc uc{q};
+      record_clients(cfg, ex, uc, 0, 0, res, rec);
+      return run();
+    }
+    case Object::kElimStack: {
+      ds::ElimStack<SimCtx> st(256, 8, 64);
+      ElimUc uc{st};
+      record_clients(cfg, ex, uc, 0, 0, res, rec);
+      return run();
+    }
   }
-
-  // The constructions (the server approaches use tid 0 as the server).
-  sync::HybComb<SimCtx>::Options hopts;
-  hopts.bug_drop_every = cfg.hyb_bug_drop_every;
-  const std::uint32_t mo32 =
-      static_cast<std::uint32_t>(std::min<std::uint64_t>(cfg.max_ops, 1u << 30));
-  sync::MpServer<SimCtx> mp(0, obj);
-  sync::ShmServer<SimCtx> shm(0, obj, sync::ShmServer<SimCtx>::kMaxThreads,
-                              cfg.async_depth);
-  sync::HybComb<SimCtx> hyb(obj, cfg.max_ops, /*fixed_combiner=*/false, hopts);
-  // The hub registers every CS body the driver can issue up front (its
-  // Section 5.2 opcode interface requires registration before serve()).
-  sync::MpServerHub<SimCtx> hub(0);
-  const std::uint64_t op_inc = hub.add_op(ds::counter_inc<SimCtx>, obj);
-  const std::uint64_t op_enq = hub.add_op(ds::q_enqueue<SimCtx>, obj);
-  const std::uint64_t op_deq = hub.add_op(ds::q_dequeue<SimCtx>, obj);
-  const std::uint64_t op_push = hub.add_op(ds::s_push<SimCtx>, obj);
-  const std::uint64_t op_pop = hub.add_op(ds::s_pop<SimCtx>, obj);
-  auto hub_opcode = [&](sync::CsFn<SimCtx> fn) -> std::uint64_t {
-    if (fn == ds::counter_inc<SimCtx>) return op_inc;
-    if (fn == ds::q_enqueue<SimCtx>) return op_enq;
-    if (fn == ds::q_dequeue<SimCtx>) return op_deq;
-    if (fn == ds::s_push<SimCtx>) return op_push;
-    return op_pop;
-  };
-  sync::CcSynch<SimCtx> cc(obj, mo32);
-  sync::DsmSynch<SimCtx> dsm(obj, mo32);
-  sync::FlatCombining<SimCtx> fc(obj, sync::FlatCombining<SimCtx>::kMaxThreads,
-                                 std::max<std::uint32_t>(1, mo32 / 2));
-  sync::HSynch<SimCtx> hs(obj, mo32);
-  sync::OyamaComb<SimCtx> oy(obj);
-  McsUc mcs{{}, obj};
-  sync::VlinkServer<SimCtx> vl(ex.machine().vlink(), /*server_core=*/0, obj);
-
-  auto apply = [&](SimCtx& ctx, sync::CsFn<SimCtx> fn,
-                   std::uint64_t arg) -> std::uint64_t {
-    switch (cfg.construction) {
-      case Construction::kMpServer: return mp.apply(ctx, fn, arg);
-      case Construction::kHybComb: return hyb.apply(ctx, fn, arg);
-      case Construction::kShmServer: return shm.apply(ctx, fn, arg);
-      case Construction::kCcSynch: return cc.apply(ctx, fn, arg);
-      case Construction::kDsmSynch: return dsm.apply(ctx, fn, arg);
-      case Construction::kFlatCombining: return fc.apply(ctx, fn, arg);
-      case Construction::kHSynch: return hs.apply(ctx, fn, arg);
-      case Construction::kOyama: return oy.apply(ctx, fn, arg);
-      case Construction::kMcsLock: return mcs.apply(ctx, fn, arg);
-      case Construction::kMpServerHub:
-        return hub.apply(ctx, hub_opcode(fn), arg);
-      case Construction::kVlink: return vl.apply(ctx, fn, arg);
-      case Construction::kSharded: break;  // handled by record_sharded()
-    }
-    return 0;
-  };
-
-  // Async ticket dispatch (constructions without the API complete inline,
-  // so a depth-configured run over e.g. ccsynch degrades to synchronous).
-  auto issue_async = [&](SimCtx& ctx, sync::CsFn<SimCtx> fn,
-                         std::uint64_t arg) -> sync::Ticket {
-    switch (cfg.construction) {
-      case Construction::kMpServer: return mp.apply_async(ctx, fn, arg);
-      case Construction::kHybComb: return hyb.apply_async(ctx, fn, arg);
-      case Construction::kShmServer: return shm.apply_async(ctx, fn, arg);
-      case Construction::kMpServerHub:
-        return hub.apply_async(ctx, hub_opcode(fn), arg);
-      case Construction::kVlink: return vl.apply_async(ctx, fn, arg);
-      default: return sync::Ticket{0, apply(ctx, fn, arg), 0};
-    }
-  };
-  auto reap = [&](SimCtx& ctx, sync::Ticket& t) -> std::uint64_t {
-    switch (cfg.construction) {
-      case Construction::kMpServer: return mp.wait(ctx, t);
-      case Construction::kHybComb: return hyb.wait(ctx, t);
-      case Construction::kShmServer: return shm.wait(ctx, t);
-      case Construction::kMpServerHub: return hub.wait(ctx, t);
-      case Construction::kVlink: return vl.wait(ctx, t);
-      default: return t.value;
-    }
-  };
-
-  const bool direct =
-      cfg.object == Object::kLcrq || cfg.object == Object::kElimStack;
-  const bool server = !direct && uses_server(cfg.construction);
-
-  RecordResult res;
-  res.total_client_threads = cfg.threads;
-  HistoryRecorder rec;
-
-  if (server) {
-    ex.add_thread([&](SimCtx& ctx) {
-      if (cfg.construction == Construction::kMpServer) {
-        mp.serve(ctx);
-      } else if (cfg.construction == Construction::kMpServerHub) {
-        hub.serve(ctx);
-      } else if (cfg.construction == Construction::kVlink) {
-        vl.serve(ctx);
-      } else {
-        shm.serve(ctx);
-      }
-    });
-  }
-
-  // Async recording mode: issue `depth`-sized trains of tickets, then reap
-  // them in REVERSE order (deliberately exercising the out-of-order staging
-  // path). Invocation is recorded at issue, response at reap, so the
-  // interval brackets the linearization point: the CS runs after the send
-  // and its reply arrives before the reap returns.
+  UcParams p;
+  p.max_ops = cfg.max_ops;
+  p.shm_async_depth = cfg.async_depth;
+  p.hyb_bug_drop_every = cfg.hyb_bug_drop_every;
+  const Uc id = uc_of(cfg.construction);
   const std::uint32_t depth =
-      (!direct && supports_async(cfg.construction) && cfg.async_depth >= 2)
+      row_of(id).async && cfg.async_depth >= 2
           ? std::min<std::uint32_t>(cfg.async_depth, 16)
           : 0;
-  auto run_async_client = [&](SimCtx& ctx, std::uint32_t i) {
-    std::uint32_t k = 0;
-    while (k < cfg.ops_each) {
-      const std::uint32_t n = std::min(depth, cfg.ops_each - k);
-      OpRecord recs[16];
-      sync::Ticket tickets[16];
-      for (std::uint32_t j = 0; j < n; ++j, ++k) {
-        OpRecord& r = recs[j];
-        r.thread = i;
-        const bool produce = ctx.rand_below(1000) < cfg.produce_permille;
-        sync::CsFn<SimCtx> fn = nullptr;
-        std::uint64_t arg = 0;
-        switch (cfg.object) {
-          case Object::kCounter:
-            r.kind = OpKind::kInc;
-            fn = ds::counter_inc<SimCtx>;
-            break;
-          case Object::kQueue:
-            if (produce) {
-              r.kind = OpKind::kEnq;
-              r.arg = (static_cast<std::uint64_t>(i) << 32) | k;
-              arg = r.arg;
-              fn = ds::q_enqueue<SimCtx>;
-            } else {
-              r.kind = OpKind::kDeq;
-              fn = ds::q_dequeue<SimCtx>;
-            }
-            break;
-          case Object::kStack:
-            if (produce) {
-              r.kind = OpKind::kPush;
-              r.arg = (static_cast<std::uint64_t>(i) << 32) | k;
-              arg = r.arg;
-              fn = ds::s_push<SimCtx>;
-            } else {
-              r.kind = OpKind::kPop;
-              fn = ds::s_pop<SimCtx>;
-            }
-            break;
-          case Object::kLcrq:
-          case Object::kElimStack:
-            break;  // unreachable: direct objects never run async
-        }
-        r.invoke = ctx.now();
-        tickets[j] = issue_async(ctx, fn, arg);
-      }
-      for (std::uint32_t j = n; j-- > 0;) {
-        OpRecord& r = recs[j];
-        r.ret = reap(ctx, tickets[j]);
-        if (r.kind == OpKind::kEnq || r.kind == OpKind::kPush) r.ret = 0;
-        if (r.kind == OpKind::kDeq && r.ret == ds::kQEmpty) r.ret = kNothing;
-        if (r.kind == OpKind::kPop && r.ret == ds::kStackEmpty) {
-          r.ret = kNothing;
-        }
-        r.response = ctx.now();
-        rec.record(r);
-      }
-      if (cfg.think_max > 0) {
-        ctx.compute(ctx.rand_below(
-            static_cast<std::uint32_t>(cfg.think_max) + 1));
-      }
-    }
-  };
-
-  for (std::uint32_t i = 0; i < cfg.threads; ++i) {
-    ex.add_thread([&, i](SimCtx& ctx) {
-      if (depth != 0) {
-        run_async_client(ctx, i);
-        ++res.finished_threads;
-        if (res.finished_threads == cfg.threads && server) {
-          if (cfg.construction == Construction::kMpServer) {
-            mp.request_stop(ctx);
-          } else if (cfg.construction == Construction::kMpServerHub) {
-            hub.request_stop(ctx);
-          } else if (cfg.construction == Construction::kVlink) {
-            vl.request_stop(ctx);
-          } else {
-            shm.request_stop(ctx);
-          }
-        }
-        return;
-      }
-      for (std::uint32_t k = 0; k < cfg.ops_each; ++k) {
-        OpRecord r;
-        r.thread = i;
-        r.invoke = ctx.now();
-        const bool produce =
-            ctx.rand_below(1000) < cfg.produce_permille;
-        switch (cfg.object) {
-          case Object::kCounter:
-            r.kind = OpKind::kInc;
-            r.ret = apply(ctx, ds::counter_inc<SimCtx>, 0);
-            break;
-          case Object::kQueue:
-            if (produce) {
-              r.kind = OpKind::kEnq;
-              r.arg = (static_cast<std::uint64_t>(i) << 32) | k;
-              r.ret = 0;
-              apply(ctx, ds::q_enqueue<SimCtx>, r.arg);
-            } else {
-              r.kind = OpKind::kDeq;
-              r.ret = apply(ctx, ds::q_dequeue<SimCtx>, 0);
-              if (r.ret == ds::kQEmpty) r.ret = kNothing;
-            }
-            break;
-          case Object::kStack:
-            if (produce) {
-              r.kind = OpKind::kPush;
-              r.arg = (static_cast<std::uint64_t>(i) << 32) | k;
-              r.ret = 0;
-              apply(ctx, ds::s_push<SimCtx>, r.arg);
-            } else {
-              r.kind = OpKind::kPop;
-              r.ret = apply(ctx, ds::s_pop<SimCtx>, 0);
-              if (r.ret == ds::kStackEmpty) r.ret = kNothing;
-            }
-            break;
-          case Object::kLcrq:
-            if (produce) {
-              r.kind = OpKind::kEnq;
-              r.arg = ((static_cast<std::uint64_t>(i) & 0x7FFF) << 16) | k;
-              r.ret = 0;
-              lcrq->enqueue(ctx, static_cast<std::uint32_t>(r.arg));
-            } else {
-              r.kind = OpKind::kDeq;
-              const std::uint32_t v = lcrq->dequeue(ctx);
-              r.ret = v == ds::kLcrqEmpty ? kNothing : v;
-            }
-            break;
-          case Object::kElimStack:
-            if (produce) {
-              r.kind = OpKind::kPush;
-              r.arg = ((static_cast<std::uint64_t>(i) & 0x7FFF) << 16) | k;
-              r.ret = 0;
-              elim->push(ctx, static_cast<std::uint32_t>(r.arg));
-            } else {
-              r.kind = OpKind::kPop;
-              r.ret = elim->pop(ctx);
-              if (r.ret == ds::kStackEmpty) r.ret = kNothing;
-            }
-            break;
-        }
-        r.response = ctx.now();
-        rec.record(r);
-        if (cfg.think_max > 0) {
-          ctx.compute(ctx.rand_below(
-              static_cast<std::uint32_t>(cfg.think_max) + 1));
-        }
-      }
-      ++res.finished_threads;
-      if (res.finished_threads == cfg.threads && server) {
-        if (cfg.construction == Construction::kMpServer) {
-          mp.request_stop(ctx);
-        } else if (cfg.construction == Construction::kMpServerHub) {
-          hub.request_stop(ctx);
-        } else if (cfg.construction == Construction::kVlink) {
-          vl.request_stop(ctx);
-        } else {
-          shm.request_stop(ctx);
-        }
-      }
-    });
-  }
-
-  ex.run_until(cfg.horizon);
-  // Detach the perturber before teardown so no stale pointer survives the
-  // scenario (the executor dies with this frame anyway; belt and braces).
-  if (perturber != nullptr) ex.sched().set_perturber(nullptr);
-
-  res.completed = res.finished_threads == cfg.threads;
-  res.end_time = ex.sched().now();
-  res.history = rec.ops();
-  return res;
+  return with_construction(id, obj, p, ex, [&]<class U>(U& uc) {
+    record_clients(cfg, ex, uc, row_of(id).servers, depth, res, rec);
+    return run();
+  });
 }
 
 }  // namespace hmps::harness

@@ -5,30 +5,22 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <memory>
+#include <iterator>
+#include <optional>
 #include <vector>
-
-#include "obs/metrics.hpp"
-#include "obs/telemetry.hpp"
-#include "sim/stats.hpp"
-#include "sim/trace.hpp"
 
 #include "ds/counter.hpp"
 #include "ds/lcrq.hpp"
 #include "ds/queue.hpp"
 #include "ds/stack.hpp"
+#include "harness/registry.hpp"
+#include "obs/metrics.hpp"
+#include "obs/telemetry.hpp"
 #include "runtime/sim_context.hpp"
 #include "runtime/sim_executor.hpp"
+#include "sim/stats.hpp"
+#include "sim/trace.hpp"
 #include "sync/async_batcher.hpp"
-#include "sync/ccsynch.hpp"
-#include "sync/hybcomb.hpp"
-#include "sync/locks.hpp"
-#include "sync/mp_server.hpp"
-#include "sync/shm_server.hpp"
-#include "sync/universal.hpp"
-#include "sync/vlink_server.hpp"
-
-#include <optional>
 
 namespace hmps::harness {
 
@@ -37,55 +29,55 @@ using rt::SimExecutor;
 using sim::Cycle;
 using sync::SyncStats;
 
-const char* approach_name(Approach a) {
-  switch (a) {
-    case Approach::kMpServer: return "mp-server";
-    case Approach::kHybComb: return "HybComb";
-    case Approach::kShmServer: return "shm-server";
-    case Approach::kCcSynch: return "CC-Synch";
-    case Approach::kMcsLock: return "mcs";
-    case Approach::kClhLock: return "clh";
-    case Approach::kTicketLock: return "ticket";
-    case Approach::kTasLock: return "tas";
-    case Approach::kTtasLock: return "ttas";
-    case Approach::kVlinkServer: return "vlink-server";
-  }
-  return "?";
-}
+namespace {
+
+/// Fig. 5a/5b implementations: label and registry row. mp-server-2 (two
+/// servers), LCRQ and Treiber are not registry rows; run_queue and
+/// run_stack build those themselves.
+struct ImplRow {
+  const char* name;
+  Uc uc;
+};
+constexpr ImplRow kQueueImpls[] = {
+    {"mp-server-1", Uc::kMpServer}, {"HybComb-1", Uc::kHybComb},
+    {"shm-server-1", Uc::kShmServer}, {"CC-Synch-1", Uc::kCcSynch},
+    {"mp-server-2", Uc::kMpServer}, {"LCRQ", Uc::kMpServer},
+    {"vlink-1", Uc::kVlink},
+};
+constexpr ImplRow kStackImpls[] = {
+    {"mp-server", Uc::kMpServer}, {"HybComb", Uc::kHybComb},
+    {"shm-server", Uc::kShmServer}, {"CC-Synch", Uc::kCcSynch},
+    {"Treiber", Uc::kMpServer}, {"vlink", Uc::kVlink},
+};
+
+}  // namespace
+
+const char* approach_name(Approach a) { return row_of(uc_of(a)).approach; }
 
 bool approach_needs_server(Approach a) {
-  return a == Approach::kMpServer || a == Approach::kShmServer ||
-         a == Approach::kVlinkServer;
+  return row_of(uc_of(a)).servers > 0;
 }
 
 const char* queue_name(QueueImpl q) {
-  switch (q) {
-    case QueueImpl::kMp1: return "mp-server-1";
-    case QueueImpl::kHyb1: return "HybComb-1";
-    case QueueImpl::kShm1: return "shm-server-1";
-    case QueueImpl::kCc1: return "CC-Synch-1";
-    case QueueImpl::kMp2: return "mp-server-2";
-    case QueueImpl::kLcrq: return "LCRQ";
-    case QueueImpl::kVl1: return "vlink-1";
-  }
-  return "?";
+  return kQueueImpls[static_cast<int>(q)].name;
 }
 
 const char* stack_name(StackImpl s) {
-  switch (s) {
-    case StackImpl::kMp: return "mp-server";
-    case StackImpl::kHyb: return "HybComb";
-    case StackImpl::kShm: return "shm-server";
-    case StackImpl::kCc: return "CC-Synch";
-    case StackImpl::kTreiber: return "Treiber";
-    case StackImpl::kVl: return "vlink";
-  }
-  return "?";
+  return kStackImpls[static_cast<int>(s)].name;
 }
 
 namespace {
 
-// Everything the generic runner snapshots at window boundaries.
+// Per-client progress: client fibers write it, window snapshots read it.
+struct Progress {
+  explicit Progress(std::uint32_t na) : ops(na, 0), latsum(na, 0.0) {}
+  std::vector<std::uint64_t> ops;
+  std::vector<double> latsum;
+  bool measuring = false;  // set once warmup completes
+  sim::Histogram lat_hist{/*bucket_width=*/8, /*nbuckets=*/4096};
+};
+
+// Everything measure() snapshots at window boundaries.
 struct Snapshot {
   std::vector<std::uint64_t> ops;
   std::vector<double> latsum;
@@ -98,79 +90,21 @@ struct Snapshot {
   std::vector<obs::CycleAccount> accounts;
 };
 
-struct DriverHooks {
-  // Called once with the freshly built executor, before any thread is
-  // added. Constructions that need a machine model reference at
-  // construction time (the Virtual-Link fabric lives inside the executor's
-  // Machine) are created here into optionals on the caller's frame; the
-  // closures below then dereference them. May be empty.
-  std::function<void(SimExecutor&)> init;
-  // One application operation (op index k for alternation). Runs on an app
-  // thread's context. Returns the number of operations COMPLETED by the
-  // call: 1 for synchronous apply, 0 while an async batcher is buffering,
-  // and the train length when a train is issued and reaped.
-  std::function<std::uint64_t(SimCtx&, std::uint64_t)> op;
-  // Server bodies (run on threads 0..n_servers-1); empty = no servers.
-  std::vector<std::function<void(SimCtx&)>> servers;
-  // Sums construction stats over all thread slots.
-  std::function<SyncStats()> sum_stats;
-  // Registers construction-specific telemetry gauges (server inflight
-  // credits, combiner queue length). Called once before the warmup when
-  // cfg.telemetry_window > 0; may be empty.
-  std::function<void(obs::Telemetry&)> register_telemetry;
-};
-
-RunResult drive(const RunCfg& cfg, DriverHooks hooks) {
-  SimExecutor ex(cfg.machine, cfg.seed);
-  // Install the fault plan before any thread starts so its first windows
-  // land deterministically; a disabled plan leaves the machine untouched
-  // (and the golden traces byte-identical).
-  if (cfg.faults.enabled()) ex.machine().install_faults(cfg.faults);
-  // Tracing only observes — recording never advances simulated time, so
-  // runs with and without a trace sink produce identical timings (pinned by
-  // tests/test_obs.cpp).
-  const bool tracing = cfg.obs.trace != nullptr;
-  if (tracing) {
-    ex.machine().tracer().enable(cfg.obs.trace_max_events);
-    ex.machine().tracer().set_process(cfg.obs.pid, cfg.obs.label);
-  }
-  if (hooks.init) hooks.init(ex);
-  const std::uint32_t ns = static_cast<std::uint32_t>(hooks.servers.size());
+// Runs the registered threads through the warmup and cfg.reps measurement
+// windows, and reports them (plus a run entry when cfg.obs.metrics is
+// set). `ns` server threads precede the clients; `sum_stats` sums the
+// construction's counters; `add_gauges` registers its telemetry gauges.
+RunResult measure(const RunCfg& cfg, SimExecutor& ex, Progress& pg,
+                  std::uint32_t ns,
+                  const std::function<SyncStats()>& sum_stats,
+                  const std::function<void(obs::Telemetry&)>& add_gauges) {
   const std::uint32_t na = cfg.app_threads;
-
-  std::vector<std::uint64_t> ops(na, 0);
-  std::vector<double> latsum(na, 0.0);
-  bool measuring = false;  // set once warmup completes
-  sim::Histogram lat_hist(/*bucket_width=*/8, /*nbuckets=*/4096);
-
-  for (std::uint32_t s = 0; s < ns; ++s) {
-    ex.add_thread(hooks.servers[s]);
-  }
-  for (std::uint32_t i = 0; i < na; ++i) {
-    ex.add_thread([&, i](SimCtx& ctx) {
-      std::uint64_t k = 0;
-      for (;;) {
-        const Cycle t0 = ctx.now();
-        const std::uint64_t done = hooks.op(ctx, k++);
-        const Cycle lat = ctx.now() - t0;
-        // latsum accumulates all time spent inside op() (including calls
-        // that only buffered), so lat_mean stays time-per-completed-op
-        // under batching; the histogram records the train's mean.
-        ops[i] += done;
-        latsum[i] += static_cast<double>(lat);
-        if (measuring && done > 0) lat_hist.add(lat / done);
-        // Section 5.2: up to think_iters_max empty loop iterations.
-        ctx.compute(cfg.think_iter_cost *
-                    ctx.rand_below(cfg.think_iters_max + 1));
-      }
-    });
-  }
-
+  const bool tracing = cfg.obs.trace != nullptr;
   auto snap = [&]() {
     Snapshot s;
-    s.ops = ops;
-    s.latsum = latsum;
-    s.stats = hooks.sum_stats ? hooks.sum_stats() : SyncStats{};
+    s.ops = pg.ops;
+    s.latsum = pg.latsum;
+    s.stats = sum_stats();
     s.core0_busy = ex.machine().core(0).busy;
     s.core0_stall = ex.machine().core(0).stall;
     s.served = s.stats.served;
@@ -185,10 +119,10 @@ RunResult drive(const RunCfg& cfg, DriverHooks hooks) {
   };
 
   obs::Telemetry tel(ex.machine(), {cfg.telemetry_window});
-  if (tel.enabled() && hooks.register_telemetry) hooks.register_telemetry(tel);
+  if (tel.enabled()) add_gauges(tel);
 
   ex.run_until(cfg.warmup);
-  measuring = true;
+  pg.measuring = true;
   const Snapshot first = snap();
   Snapshot prev = first;
   // Baseline right after the run-level snapshot (snap() settled the
@@ -234,18 +168,7 @@ RunResult drive(const RunCfg& cfg, DriverHooks hooks) {
     const std::uint64_t dserved = cur.served - prev.served;
     serv_ops += static_cast<double>(dserved ? dserved : dops);
 
-    stat_delta.ops += cur.stats.ops - prev.stats.ops;
-    stat_delta.served += cur.stats.served - prev.stats.served;
-    stat_delta.tenures += cur.stats.tenures - prev.stats.tenures;
-    stat_delta.cas_attempts += cur.stats.cas_attempts - prev.stats.cas_attempts;
-    stat_delta.cas_failures += cur.stats.cas_failures - prev.stats.cas_failures;
-    stat_delta.throttle_waits +=
-        cur.stats.throttle_waits - prev.stats.throttle_waits;
-    stat_delta.stall_timeouts +=
-        cur.stats.stall_timeouts - prev.stats.stall_timeouts;
-    stat_delta.async_issued += cur.stats.async_issued - prev.stats.async_issued;
-    stat_delta.async_batched +=
-        cur.stats.async_batched - prev.stats.async_batched;
+    stat_delta.add(cur.stats.since(prev.stats));
     msgs += cur.msgs - prev.msgs;
     ctrl_wait += static_cast<double>(cur.ctrl_wait - prev.ctrl_wait);
 
@@ -266,8 +189,8 @@ RunResult drive(const RunCfg& cfg, DriverHooks hooks) {
   r.mops = mean;
   r.mops_std = std::sqrt(var);
   r.lat_mean = lat_n > 0 ? lat_sum / lat_n : 0;
-  r.lat_p50 = static_cast<double>(lat_hist.quantile(0.50));
-  r.lat_p99 = static_cast<double>(lat_hist.quantile(0.99));
+  r.lat_p50 = static_cast<double>(pg.lat_hist.quantile(0.50));
+  r.lat_p99 = static_cast<double>(pg.lat_hist.quantile(0.99));
   r.serv_total_per_op = serv_ops > 0 ? (serv_busy + serv_stall) / serv_ops : 0;
   r.serv_stall_per_op = serv_ops > 0 ? serv_stall / serv_ops : 0;
   r.combining_rate = stat_delta.combining_rate();
@@ -351,144 +274,146 @@ RunResult drive(const RunCfg& cfg, DriverHooks hooks) {
   return r;
 }
 
+// The critical section a closed-loop client applies next.
+struct CsCall {
+  sync::CsFn<SimCtx> fn;
+  std::uint64_t arg;
+};
+
+// The closed loop of Section 5.2 over construction `uc`: `ns` server
+// fibers (tids [0, ns)), then cfg.app_threads clients, each applying
+// next(k) for its k = 0, 1, ... with random think time after every call.
+// With `batching` the clients issue trains of cfg.async_batch tickets
+// through sync::AsyncBatcher.
+template <class U, class Next>
+RunResult drive(const RunCfg& cfg, SimExecutor& ex, U& uc, std::uint32_t ns,
+                bool batching, const char* gauge, Next next) {
+  Progress pg(cfg.app_threads);
+  for (std::uint32_t s = 0; s < ns; ++s) {
+    ex.add_thread([&uc, s](SimCtx& ctx) { serve(uc, ctx, s); });
+  }
+  // Per-thread request batchers, indexed by ctx.tid() (unused ones inert).
+  std::vector<sync::AsyncBatcher<SimCtx, U>> batchers;
+  if constexpr (AsyncUc<U>) {
+    if (batching) {
+      batchers.reserve(64);
+      for (std::uint32_t t = 0; t < 64; ++t) {
+        batchers.emplace_back(uc, cfg.async_batch);
+      }
+    }
+  }
+  for (std::uint32_t i = 0; i < cfg.app_threads; ++i) {
+    ex.add_thread([&, i](SimCtx& ctx) {
+      std::uint64_t k = 0;
+      for (;;) {
+        const Cycle t0 = ctx.now();
+        const CsCall c = next(k++);
+        // Operations completed by this call: 1 for a synchronous apply, 0
+        // while a batcher buffers, the train length when a train is issued
+        // and reaped.
+        std::uint64_t done = 1;
+        if constexpr (AsyncUc<U>) {
+          if (batching) {
+            done = batchers[ctx.tid()].add(ctx, c.fn, c.arg);
+          } else {
+            uc.apply(ctx, c.fn, c.arg);
+          }
+        } else {
+          uc.apply(ctx, c.fn, c.arg);
+        }
+        const Cycle lat = ctx.now() - t0;
+        // latsum accumulates all time spent inside the call (including
+        // calls that only buffered), so lat_mean stays time-per-completed-op
+        // under batching; the histogram records the train's mean.
+        pg.ops[i] += done;
+        pg.latsum[i] += static_cast<double>(lat);
+        if (pg.measuring && done > 0) pg.lat_hist.add(lat / done);
+        // Section 5.2: up to think_iters_max empty loop iterations.
+        ctx.compute(cfg.think_iter_cost *
+                    ctx.rand_below(cfg.think_iters_max + 1));
+      }
+    });
+  }
+  return measure(
+      cfg, ex, pg, ns, [&uc] { return sum_stats(uc); },
+      [&uc, gauge](obs::Telemetry& tel) { add_gauge(tel, gauge, uc); });
+}
+
+UcParams uc_params(const RunCfg& cfg) {
+  UcParams p;
+  p.max_ops = cfg.max_ops;
+  p.max_inflight = cfg.max_inflight;
+  p.stall_timeout = cfg.stall_timeout;
+  return p;
+}
+
+/// Fig. 5a two-lock MS-queue: an enqueue server (tid 0) and a dequeue
+/// server (tid 1) running the fenced CS bodies.
+struct TwoServerQueue {
+  using Fn = sync::CsFn<SimCtx>;
+  TwoServerQueue(void* q, std::uint64_t max_inflight)
+      : enq(0, q, max_inflight), deq(1, q, max_inflight) {}
+  std::uint64_t apply(SimCtx& ctx, Fn fn, std::uint64_t arg) {
+    return fn == &ds::q_enqueue<SimCtx>
+               ? enq.apply(ctx, ds::q_enqueue_fenced<SimCtx>, arg)
+               : deq.apply(ctx, ds::q_dequeue_fenced<SimCtx>, 0);
+  }
+  void serve(SimCtx& ctx, std::uint32_t s) { (s == 0 ? enq : deq).serve(ctx); }
+  SyncStats stats(rt::Tid t) {
+    SyncStats s = enq.stats(t);
+    s.add(deq.stats(t));
+    return s;
+  }
+  sync::MpServer<SimCtx> enq, deq;
+};
+
+/// Treiber stack behind the CS interface; its CAS failures are reported as
+/// the run's cas_attempts.
+struct TreiberUc {
+  using Fn = sync::CsFn<SimCtx>;
+  ds::TreiberStack<SimCtx>& st;
+  std::uint64_t apply(SimCtx& ctx, Fn fn, std::uint64_t arg) {
+    if (fn == &ds::s_push<SimCtx>) {
+      st.push(ctx, arg);
+      return 0;
+    }
+    return st.pop(ctx);
+  }
+  SyncStats stats(rt::Tid t) {
+    SyncStats s;
+    s.cas_attempts = st.stats(t).cas_failures;
+    return s;
+  }
+};
+
+// Alternating produce/consume ops of the Fig. 5 balanced load.
+template <sync::CsFn<SimCtx> kProduce, sync::CsFn<SimCtx> kConsume>
+CsCall alternate(std::uint64_t k) {
+  return (k & 1) == 0 ? CsCall{kProduce, 1 + (k & 0xFFFF)}
+                      : CsCall{kConsume, 0};
+}
+
 }  // namespace
 
 RunResult run_counter(const RunCfg& cfg, Approach a) {
-  // Objects outlive the executor inside drive(); keep them on this frame.
+  // Objects outlive the executor; keep them ahead of it on this frame.
   ds::SeqCounter counter;
   ds::ArrayObject array;
   void* obj = cfg.cs_iters > 0 ? static_cast<void*>(&array)
                                : static_cast<void*>(&counter);
-  const sync::CsFn<SimCtx> fn = cfg.cs_iters > 0 ? &ds::array_inc_loop<SimCtx>
-                                                 : &ds::counter_inc<SimCtx>;
-  const std::uint64_t arg = cfg.cs_iters;
-
-  sync::MpServer<SimCtx> mp(0, obj, cfg.max_inflight);
-  sync::ShmServer<SimCtx> shm(0, obj, sync::ShmServer<SimCtx>::kMaxThreads,
-                              cfg.async_batch);
-  sync::HybComb<SimCtx>::Options hopts;
-  hopts.stall_timeout = cfg.stall_timeout;
-  hopts.max_inflight = cfg.max_inflight;
-  sync::HybComb<SimCtx> hyb(obj, cfg.max_ops, cfg.fixed_combiner, hopts);
-
-  // The Virtual-Link construction needs the executor's fabric at
-  // construction time; DriverHooks::init fills the optional once the
-  // executor exists (before any thread runs).
-  std::optional<sync::VlinkServer<SimCtx>> vl;
-
-  // Per-thread request batchers for the async-capable constructions
-  // (indexed by ctx.tid(); unused entries are inert).
-  using MpBatch = sync::AsyncBatcher<SimCtx, sync::MpServer<SimCtx>>;
-  using HybBatch = sync::AsyncBatcher<SimCtx, sync::HybComb<SimCtx>>;
-  using ShmBatch = sync::AsyncBatcher<SimCtx, sync::ShmServer<SimCtx>>;
-  using VlBatch = sync::AsyncBatcher<SimCtx, sync::VlinkServer<SimCtx>>;
-  std::vector<MpBatch> mpb;
-  std::vector<HybBatch> hybb;
-  std::vector<ShmBatch> shmb;
-  std::vector<VlBatch> vlb;
-  const bool batching =
-      cfg.async_batch >= 2 &&
-      (a == Approach::kMpServer || a == Approach::kHybComb ||
-       a == Approach::kShmServer || a == Approach::kVlinkServer);
-  if (batching) {
-    mpb.reserve(64);
-    hybb.reserve(64);
-    shmb.reserve(64);
-    for (std::uint32_t t = 0; t < 64; ++t) {
-      mpb.emplace_back(mp, cfg.async_batch);
-      hybb.emplace_back(hyb, cfg.async_batch);
-      shmb.emplace_back(shm, cfg.async_batch);
-    }
-  }
-  sync::CcSynch<SimCtx> cc(obj, static_cast<std::uint32_t>(cfg.max_ops),
-                           cfg.fixed_combiner);
-  sync::LockUc<SimCtx, sync::McsLock<SimCtx>> mcs(obj);
-  sync::LockUc<SimCtx, sync::ClhLock<SimCtx>> clh(obj);
-  sync::LockUc<SimCtx, sync::TicketLock<SimCtx>> ticket(obj);
-  sync::LockUc<SimCtx, sync::TasLock<SimCtx>> tas(obj);
-  sync::LockUc<SimCtx, sync::TtasLock<SimCtx>> ttas(obj);
-
-  DriverHooks hooks;
-  if (a == Approach::kVlinkServer) {
-    hooks.init = [&](SimExecutor& ex) {
-      vl.emplace(ex.machine().vlink(), /*server_core=*/0, obj,
-                 cfg.max_inflight);
-      if (batching) {
-        vlb.reserve(64);
-        for (std::uint32_t t = 0; t < 64; ++t) {
-          vlb.emplace_back(*vl, cfg.async_batch);
-        }
-      }
-    };
-  }
-  if (approach_needs_server(a)) {
-    hooks.servers.push_back([&, a](SimCtx& ctx) {
-      if (a == Approach::kMpServer) {
-        mp.serve(ctx);
-      } else if (a == Approach::kVlinkServer) {
-        vl->serve(ctx);
-      } else {
-        shm.serve(ctx);
-      }
-    });
-  }
-  if (batching) {
-    hooks.op = [&, a, fn, arg](SimCtx& ctx, std::uint64_t) -> std::uint64_t {
-      switch (a) {
-        case Approach::kMpServer: return mpb[ctx.tid()].add(ctx, fn, arg);
-        case Approach::kHybComb: return hybb[ctx.tid()].add(ctx, fn, arg);
-        case Approach::kVlinkServer: return vlb[ctx.tid()].add(ctx, fn, arg);
-        default: return shmb[ctx.tid()].add(ctx, fn, arg);
-      }
-    };
-  } else {
-    hooks.op = [&, a, fn, arg](SimCtx& ctx, std::uint64_t) -> std::uint64_t {
-      switch (a) {
-        case Approach::kMpServer: mp.apply(ctx, fn, arg); break;
-        case Approach::kHybComb: hyb.apply(ctx, fn, arg); break;
-        case Approach::kShmServer: shm.apply(ctx, fn, arg); break;
-        case Approach::kCcSynch: cc.apply(ctx, fn, arg); break;
-        case Approach::kMcsLock: mcs.apply(ctx, fn, arg); break;
-        case Approach::kClhLock: clh.apply(ctx, fn, arg); break;
-        case Approach::kTicketLock: ticket.apply(ctx, fn, arg); break;
-        case Approach::kTasLock: tas.apply(ctx, fn, arg); break;
-        case Approach::kTtasLock: ttas.apply(ctx, fn, arg); break;
-        case Approach::kVlinkServer: vl->apply(ctx, fn, arg); break;
-      }
-      return 1;
-    };
-  }
-  hooks.register_telemetry = [&, a](obs::Telemetry& tel) {
-    if (a == Approach::kMpServer) {
-      tel.add_gauge("server_inflight", [&mp] { return mp.inflight(); });
-    } else if (a == Approach::kVlinkServer) {
-      tel.add_gauge("server_inflight", [&vl] { return vl->inflight(); });
-    } else if (a == Approach::kHybComb) {
-      tel.add_gauge("combiner_inflight",
-                    [&hyb] { return hyb.combiner_inflight(); });
-    }
-  };
-  hooks.sum_stats = [&, a]() {
-    SyncStats sum;
-    for (std::uint32_t t = 0; t < 64; ++t) {
-      const SyncStats* s = nullptr;
-      switch (a) {
-        case Approach::kMpServer: s = &mp.stats(t); break;
-        case Approach::kHybComb: s = &hyb.stats(t); break;
-        case Approach::kShmServer: s = &shm.stats(t); break;
-        case Approach::kCcSynch: s = &cc.stats(t); break;
-        case Approach::kMcsLock: s = &mcs.stats(t); break;
-        case Approach::kClhLock: s = &clh.stats(t); break;
-        case Approach::kTicketLock: s = &ticket.stats(t); break;
-        case Approach::kTasLock: s = &tas.stats(t); break;
-        case Approach::kTtasLock: s = &ttas.stats(t); break;
-        case Approach::kVlinkServer: s = &vl->stats(t); break;
-      }
-      sum.add(*s);
-    }
-    return sum;
-  };
-  return drive(cfg, std::move(hooks));
+  const CsCall call{cfg.cs_iters > 0 ? &ds::array_inc_loop<SimCtx>
+                                     : &ds::counter_inc<SimCtx>,
+                    cfg.cs_iters};
+  SimExecutor ex(cfg.machine, cfg.seed);
+  prepare(ex, cfg.faults, cfg.obs);
+  UcParams p = uc_params(cfg);
+  p.fixed_combiner = cfg.fixed_combiner;
+  p.shm_async_depth = cfg.async_batch;
+  const UcRow& row = row_of(uc_of(a));
+  return with_construction(uc_of(a), obj, p, ex, [&]<class U>(U& uc) {
+    return drive(cfg, ex, uc, row.servers, cfg.async_batch >= 2 && row.async,
+                 row.gauge, [call](std::uint64_t) { return call; });
+  });
 }
 
 double ideal_cs_cycles(const RunCfg& cfg) {
@@ -511,138 +436,43 @@ double ideal_cs_cycles(const RunCfg& cfg) {
 }
 
 RunResult run_queue(const RunCfg& cfg, QueueImpl qi) {
+  // An enumerator outside the table used to run the benchmark with no
+  // server thread and hang the clients; die with a diagnosis instead.
+  if (static_cast<std::size_t>(qi) >= std::size(kQueueImpls)) {
+    std::fprintf(stderr, "hmps fatal: run_queue: unhandled QueueImpl %d\n",
+                 static_cast<int>(qi));
+    std::abort();
+  }
   // Only the queue this run drives is built: the CS queue the
   // constructions serialize, or the lock-free LCRQ.
   std::optional<ds::SeqQueue> seq;
   std::optional<ds::Lcrq<SimCtx>> lcrq;
-  ds::SeqQueue* q = nullptr;
   if (qi == QueueImpl::kLcrq) {
     lcrq.emplace(7, 8192);
   } else {
-    q = &seq.emplace(16384);
+    seq.emplace(16384);
   }
-
-  sync::MpServer<SimCtx> mp1(0, q, cfg.max_inflight);
-  sync::HybComb<SimCtx>::Options hopts;
-  hopts.stall_timeout = cfg.stall_timeout;
-  hopts.max_inflight = cfg.max_inflight;
-  sync::HybComb<SimCtx> hyb(q, cfg.max_ops, /*fixed_combiner=*/false, hopts);
-  sync::ShmServer<SimCtx> shm(0, q);
-  sync::CcSynch<SimCtx> cc(q, static_cast<std::uint32_t>(cfg.max_ops));
-  sync::MpServer<SimCtx> mp2e(0, q, cfg.max_inflight);
-  sync::MpServer<SimCtx> mp2d(1, q, cfg.max_inflight);
-  std::optional<sync::VlinkServer<SimCtx>> vl1;
-
-  DriverHooks hooks;
-  switch (qi) {
-    case QueueImpl::kMp1:
-      hooks.servers.push_back([&](SimCtx& ctx) { mp1.serve(ctx); });
-      break;
-    case QueueImpl::kVl1:
-      hooks.init = [&](SimExecutor& ex) {
-        vl1.emplace(ex.machine().vlink(), /*server_core=*/0, q,
-                    cfg.max_inflight);
-      };
-      hooks.servers.push_back([&](SimCtx& ctx) { vl1->serve(ctx); });
-      break;
-    case QueueImpl::kShm1:
-      hooks.servers.push_back([&](SimCtx& ctx) { shm.serve(ctx); });
-      break;
-    case QueueImpl::kMp2:
-      hooks.servers.push_back([&](SimCtx& ctx) { mp2e.serve(ctx); });
-      hooks.servers.push_back([&](SimCtx& ctx) { mp2d.serve(ctx); });
-      break;
-    case QueueImpl::kHyb1:
-    case QueueImpl::kCc1:
-    case QueueImpl::kLcrq:
-      break;  // combiner/lock-free queues run without dedicated servers
-    default:
-      // A silently-skipped enumerator here used to run the benchmark with
-      // no server thread and hang the clients; die with a diagnosis.
-      std::fprintf(stderr,
-                   "hmps fatal: run_queue: unhandled QueueImpl %d in server "
-                   "dispatch\n",
-                   static_cast<int>(qi));
-      std::abort();
-  }
-  // Async batching for the single-server message-passing queue (the other
-  // impls stay synchronous; combiner/lock-free queues have no server to
-  // pipeline against a second request).
-  using Mp1Batch = sync::AsyncBatcher<SimCtx, sync::MpServer<SimCtx>>;
-  std::vector<Mp1Batch> mp1b;
-  if (cfg.async_batch >= 2 && qi == QueueImpl::kMp1) {
-    mp1b.reserve(64);
-    for (std::uint32_t t = 0; t < 64; ++t) {
-      mp1b.emplace_back(mp1, cfg.async_batch);
-    }
-    hooks.op = [&](SimCtx& ctx, std::uint64_t k) -> std::uint64_t {
-      const bool enq = (k & 1) == 0;
-      const std::uint64_t v = 1 + (k & 0xFFFF);
-      return enq ? mp1b[ctx.tid()].add(ctx, ds::q_enqueue<SimCtx>, v)
-                 : mp1b[ctx.tid()].add(ctx, ds::q_dequeue<SimCtx>, 0);
-    };
-    hooks.sum_stats = [&]() {
-      SyncStats sum;
-      for (std::uint32_t t = 0; t < 64; ++t) sum.add(mp1.stats(t));
-      return sum;
-    };
-    return drive(cfg, std::move(hooks));
-  }
-  hooks.op = [&, qi](SimCtx& ctx, std::uint64_t k) -> std::uint64_t {
-    const bool enq = (k & 1) == 0;
-    const std::uint64_t v = 1 + (k & 0xFFFF);
-    switch (qi) {
-      case QueueImpl::kMp1:
-        enq ? (void)mp1.apply(ctx, ds::q_enqueue<SimCtx>, v)
-            : (void)mp1.apply(ctx, ds::q_dequeue<SimCtx>, 0);
-        break;
-      case QueueImpl::kHyb1:
-        enq ? (void)hyb.apply(ctx, ds::q_enqueue<SimCtx>, v)
-            : (void)hyb.apply(ctx, ds::q_dequeue<SimCtx>, 0);
-        break;
-      case QueueImpl::kShm1:
-        enq ? (void)shm.apply(ctx, ds::q_enqueue<SimCtx>, v)
-            : (void)shm.apply(ctx, ds::q_dequeue<SimCtx>, 0);
-        break;
-      case QueueImpl::kCc1:
-        enq ? (void)cc.apply(ctx, ds::q_enqueue<SimCtx>, v)
-            : (void)cc.apply(ctx, ds::q_dequeue<SimCtx>, 0);
-        break;
-      case QueueImpl::kMp2:
-        enq ? (void)mp2e.apply(ctx, ds::q_enqueue_fenced<SimCtx>, v)
-            : (void)mp2d.apply(ctx, ds::q_dequeue_fenced<SimCtx>, 0);
-        break;
-      case QueueImpl::kLcrq:
-        enq ? lcrq->enqueue(ctx, static_cast<std::uint32_t>(v))
-            : (void)lcrq->dequeue(ctx);
-        break;
-      case QueueImpl::kVl1:
-        enq ? (void)vl1->apply(ctx, ds::q_enqueue<SimCtx>, v)
-            : (void)vl1->apply(ctx, ds::q_dequeue<SimCtx>, 0);
-        break;
-    }
-    return 1;
+  SimExecutor ex(cfg.machine, cfg.seed);
+  prepare(ex, cfg.faults, cfg.obs);
+  // Async trains pipeline only the single-server message-passing queue.
+  const bool batching = cfg.async_batch >= 2 && qi == QueueImpl::kMp1;
+  auto body = [&]<class U>(U& uc, std::uint32_t ns) {
+    return drive(cfg, ex, uc, ns, batching, nullptr,
+                 alternate<ds::q_enqueue<SimCtx>, ds::q_dequeue<SimCtx>>);
   };
-  hooks.sum_stats = [&, qi]() {
-    SyncStats sum;
-    auto acc = [&sum](const SyncStats& s) { sum.add(s); };
-    for (std::uint32_t t = 0; t < 64; ++t) {
-      switch (qi) {
-        case QueueImpl::kMp1: acc(mp1.stats(t)); break;
-        case QueueImpl::kHyb1: acc(hyb.stats(t)); break;
-        case QueueImpl::kShm1: acc(shm.stats(t)); break;
-        case QueueImpl::kCc1: acc(cc.stats(t)); break;
-        case QueueImpl::kMp2:
-          acc(mp2e.stats(t));
-          acc(mp2d.stats(t));
-          break;
-        case QueueImpl::kLcrq: break;
-        case QueueImpl::kVl1: acc(vl1->stats(t)); break;
-      }
-    }
-    return sum;
-  };
-  return drive(cfg, std::move(hooks));
+  if (qi == QueueImpl::kLcrq) {
+    LcrqUc uc{*lcrq};
+    return body(uc, 0);
+  }
+  if (qi == QueueImpl::kMp2) {
+    TwoServerQueue uc(&*seq, cfg.max_inflight);
+    return body(uc, 2);
+  }
+  const Uc id = kQueueImpls[static_cast<int>(qi)].uc;
+  return with_construction(id, &*seq, uc_params(cfg), ex,
+                           [&]<class U>(U& uc) {
+                             return body(uc, row_of(id).servers);
+                           });
 }
 
 RunResult run_stack(const RunCfg& cfg, StackImpl si) {
@@ -650,83 +480,26 @@ RunResult run_stack(const RunCfg& cfg, StackImpl si) {
   // constructions serialize, or the lock-free Treiber stack.
   std::optional<ds::SeqStack> seq;
   std::optional<ds::TreiberStack<SimCtx>> tr;
-  ds::SeqStack* st = nullptr;
   if (si == StackImpl::kTreiber) {
     tr.emplace(2048);
   } else {
-    st = &seq.emplace(16384);
+    seq.emplace(16384);
   }
-
-  sync::MpServer<SimCtx> mp(0, st, cfg.max_inflight);
-  sync::HybComb<SimCtx>::Options hopts;
-  hopts.stall_timeout = cfg.stall_timeout;
-  hopts.max_inflight = cfg.max_inflight;
-  sync::HybComb<SimCtx> hyb(st, cfg.max_ops, /*fixed_combiner=*/false, hopts);
-  sync::ShmServer<SimCtx> shm(0, st);
-  sync::CcSynch<SimCtx> cc(st, static_cast<std::uint32_t>(cfg.max_ops));
-  std::optional<sync::VlinkServer<SimCtx>> vl;
-
-  DriverHooks hooks;
-  if (si == StackImpl::kMp) {
-    hooks.servers.push_back([&](SimCtx& ctx) { mp.serve(ctx); });
-  } else if (si == StackImpl::kShm) {
-    hooks.servers.push_back([&](SimCtx& ctx) { shm.serve(ctx); });
-  } else if (si == StackImpl::kVl) {
-    hooks.init = [&](SimExecutor& ex) {
-      vl.emplace(ex.machine().vlink(), /*server_core=*/0, st,
-                 cfg.max_inflight);
-    };
-    hooks.servers.push_back([&](SimCtx& ctx) { vl->serve(ctx); });
+  SimExecutor ex(cfg.machine, cfg.seed);
+  prepare(ex, cfg.faults, cfg.obs);
+  auto body = [&]<class U>(U& uc, std::uint32_t ns) {
+    return drive(cfg, ex, uc, ns, /*batching=*/false, nullptr,
+                 alternate<ds::s_push<SimCtx>, ds::s_pop<SimCtx>>);
+  };
+  if (si == StackImpl::kTreiber) {
+    TreiberUc uc{*tr};
+    return body(uc, 0);
   }
-  hooks.op = [&, si](SimCtx& ctx, std::uint64_t k) -> std::uint64_t {
-    const bool push = (k & 1) == 0;
-    const std::uint64_t v = 1 + (k & 0xFFFF);
-    switch (si) {
-      case StackImpl::kMp:
-        push ? (void)mp.apply(ctx, ds::s_push<SimCtx>, v)
-             : (void)mp.apply(ctx, ds::s_pop<SimCtx>, 0);
-        break;
-      case StackImpl::kHyb:
-        push ? (void)hyb.apply(ctx, ds::s_push<SimCtx>, v)
-             : (void)hyb.apply(ctx, ds::s_pop<SimCtx>, 0);
-        break;
-      case StackImpl::kShm:
-        push ? (void)shm.apply(ctx, ds::s_push<SimCtx>, v)
-             : (void)shm.apply(ctx, ds::s_pop<SimCtx>, 0);
-        break;
-      case StackImpl::kCc:
-        push ? (void)cc.apply(ctx, ds::s_push<SimCtx>, v)
-             : (void)cc.apply(ctx, ds::s_pop<SimCtx>, 0);
-        break;
-      case StackImpl::kTreiber:
-        push ? tr->push(ctx, v) : (void)tr->pop(ctx);
-        break;
-      case StackImpl::kVl:
-        push ? (void)vl->apply(ctx, ds::s_push<SimCtx>, v)
-             : (void)vl->apply(ctx, ds::s_pop<SimCtx>, 0);
-        break;
-    }
-    return 1;
-  };
-  hooks.sum_stats = [&, si]() {
-    SyncStats sum;
-    auto acc = [&sum](const SyncStats& s) { sum.add(s); };
-    for (std::uint32_t t = 0; t < 64; ++t) {
-      switch (si) {
-        case StackImpl::kMp: acc(mp.stats(t)); break;
-        case StackImpl::kHyb: acc(hyb.stats(t)); break;
-        case StackImpl::kShm: acc(shm.stats(t)); break;
-        case StackImpl::kCc: acc(cc.stats(t)); break;
-        case StackImpl::kTreiber: {
-          sum.cas_attempts += tr->stats(t).cas_failures;
-          break;
-        }
-        case StackImpl::kVl: acc(vl->stats(t)); break;
-      }
-    }
-    return sum;
-  };
-  return drive(cfg, std::move(hooks));
+  const Uc id = kStackImpls[static_cast<int>(si)].uc;
+  return with_construction(id, &*seq, uc_params(cfg), ex,
+                           [&]<class U>(U& uc) {
+                             return body(uc, row_of(id).servers);
+                           });
 }
 
 }  // namespace hmps::harness

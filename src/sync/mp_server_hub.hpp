@@ -19,6 +19,9 @@
 
 #include <cassert>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <initializer_list>
 #include <vector>
 
 #include "obs/span.hpp"
@@ -205,6 +208,45 @@ class MpServerHub {
   alignas(rt::kCacheLine) Word inflight_{0};
   PaddedStats stats_[kMaxThreads];
   AsyncSt async_[kMaxThreads];
+};
+
+/// MpServerHub behind the CsFn interface of the other constructions: every
+/// body in `fns` is registered on `obj` up front (opcodes 1..n in order, as
+/// serve() requires), and each call maps its CsFn to that opcode.
+template <class Ctx>
+class FnHub {
+ public:
+  using Fn = CsFn<Ctx>;
+
+  FnHub(Tid server_tid, void* obj, std::initializer_list<Fn> fns,
+        std::uint64_t max_inflight = 0)
+      : hub_(server_tid, max_inflight) {
+    for (const Fn fn : fns) hub_.add_op(fn, obj);
+    fns_.assign(fns.begin(), fns.end());
+  }
+
+  std::uint64_t apply(Ctx& ctx, Fn fn, std::uint64_t arg) {
+    return hub_.apply(ctx, opcode(fn), arg);
+  }
+  Ticket apply_async(Ctx& ctx, Fn fn, std::uint64_t arg) {
+    return hub_.apply_async(ctx, opcode(fn), arg);
+  }
+  std::uint64_t wait(Ctx& ctx, Ticket& t) { return hub_.wait(ctx, t); }
+  void serve(Ctx& ctx) { hub_.serve(ctx); }
+  void request_stop(Ctx& ctx) { hub_.request_stop(ctx); }
+  SyncStats& stats(Tid t) { return hub_.stats(t); }
+
+ private:
+  std::uint64_t opcode(Fn fn) const {
+    for (std::size_t i = 0; i < fns_.size(); ++i) {
+      if (fns_[i] == fn) return i + 1;
+    }
+    std::fprintf(stderr, "hmps fatal: FnHub: CS body was never registered\n");
+    std::abort();
+  }
+
+  MpServerHub<Ctx> hub_;
+  std::vector<Fn> fns_;
 };
 
 }  // namespace hmps::sync
