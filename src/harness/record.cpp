@@ -465,10 +465,11 @@ RecordResult record_history(const RecordCfg& cfg, sim::Perturber* perturber) {
       row_of(id).async && cfg.async_depth >= 2
           ? std::min<std::uint32_t>(cfg.async_depth, 16)
           : 0;
-  return with_construction(id, obj, p, ex, [&]<class U>(U& uc) {
-    record_clients(cfg, ex, uc, row_of(id).servers, depth, res, rec);
-    return run();
-  });
+  return with_construction<kConstructionUc>(
+      id, obj, p, ex, [&]<class U>(U& uc) {
+        record_clients(cfg, ex, uc, row_of(id).servers, depth, res, rec);
+        return run();
+      });
 }
 
 }  // namespace hmps::harness

@@ -113,11 +113,26 @@ struct UcParams {
   std::uint64_t hyb_bug_drop_every = 0;  ///< HybComb seeded defect (tests)
 };
 
+/// True if `id` is one of `ids`.
+constexpr bool listed(const auto& ids, Uc id) {
+  for (const Uc x : ids) {
+    if (x == id) return true;
+  }
+  return false;
+}
+
+/// The rows the Fig. 5 queue/stack and open-loop service drivers run.
+inline constexpr Uc kDelegationUc[] = {Uc::kMpServer, Uc::kHybComb,
+                                       Uc::kShmServer, Uc::kCcSynch,
+                                       Uc::kVlink};
+
 /// Builds construction `id` over `obj` in place — after the executor, whose
 /// Virtual-Link fabric the vlink construction needs — and returns
 /// body(uc). Server constructions serve from tid 0. Only the selected
-/// construction exists during the run.
-template <class Body>
+/// construction exists during the run. `body` is instantiated only for the
+/// rows in kIds (kApproachUc, kConstructionUc or kDelegationUc); any other
+/// id aborts.
+template <const auto& kIds, class Body>
 decltype(auto) with_construction(Uc id, void* obj, const UcParams& p,
                                  rt::SimExecutor& ex, Body&& body) {
   using rt::SimCtx;
@@ -125,85 +140,114 @@ decltype(auto) with_construction(Uc id, void* obj, const UcParams& p,
   const auto mo32 = static_cast<std::uint32_t>(
       std::min<std::uint64_t>(p.max_ops, std::uint64_t{1} << 30));
   switch (id) {
-    case Uc::kMpServer: {
-      sync::MpServer<SimCtx> uc(0, obj, p.max_inflight);
-      return body(uc);
-    }
-    case Uc::kHybComb: {
-      sync::HybComb<SimCtx>::Options o;
-      o.stall_timeout = p.stall_timeout;
-      o.max_inflight = p.max_inflight;
-      o.bug_drop_every = p.hyb_bug_drop_every;
-      sync::HybComb<SimCtx> uc(obj, p.max_ops, p.fixed_combiner, o);
-      return body(uc);
-    }
-    case Uc::kShmServer: {
-      sync::ShmServer<SimCtx> uc(0, obj, sync::ShmServer<SimCtx>::kMaxThreads,
-                                 p.shm_async_depth);
-      return body(uc);
-    }
-    case Uc::kCcSynch: {
-      sync::CcSynch<SimCtx> uc(obj, mo32, p.fixed_combiner);
-      return body(uc);
-    }
-    case Uc::kDsmSynch: {
-      sync::DsmSynch<SimCtx> uc(obj, mo32);
-      return body(uc);
-    }
-    case Uc::kFlatCombining: {
-      sync::FlatCombining<SimCtx> uc(obj,
-                                     sync::FlatCombining<SimCtx>::kMaxThreads,
-                                     std::max<std::uint32_t>(1, mo32 / 2));
-      return body(uc);
-    }
-    case Uc::kHSynch: {
-      sync::HSynch<SimCtx> uc(obj, mo32);
-      return body(uc);
-    }
-    case Uc::kOyama: {
-      sync::OyamaComb<SimCtx> uc(obj);
-      return body(uc);
-    }
-    case Uc::kMcsLock: {
-      sync::LockUc<SimCtx, sync::McsLock<SimCtx>> uc(obj);
-      return body(uc);
-    }
-    case Uc::kClhLock: {
-      sync::LockUc<SimCtx, sync::ClhLock<SimCtx>> uc(obj);
-      return body(uc);
-    }
-    case Uc::kTicketLock: {
-      sync::LockUc<SimCtx, sync::TicketLock<SimCtx>> uc(obj);
-      return body(uc);
-    }
-    case Uc::kTasLock: {
-      sync::LockUc<SimCtx, sync::TasLock<SimCtx>> uc(obj);
-      return body(uc);
-    }
-    case Uc::kTtasLock: {
-      sync::LockUc<SimCtx, sync::TtasLock<SimCtx>> uc(obj);
-      return body(uc);
-    }
-    case Uc::kMpServerHub: {
-      // Every CS body a driver can issue, registered before serve().
-      sync::FnHub<SimCtx> uc(0, obj,
-                             {ds::counter_inc<SimCtx>, ds::q_enqueue<SimCtx>,
-                              ds::q_dequeue<SimCtx>, ds::s_push<SimCtx>,
-                              ds::s_pop<SimCtx>},
-                             p.max_inflight);
-      return body(uc);
-    }
-    case Uc::kVlink: {
-      sync::VlinkServer<SimCtx> uc(ex.machine().vlink(), /*server_core=*/0,
-                                   obj, p.max_inflight);
-      return body(uc);
-    }
+    case Uc::kMpServer:
+      if constexpr (listed(kIds, Uc::kMpServer)) {
+        sync::MpServer<SimCtx> uc(0, obj, p.max_inflight);
+        return body(uc);
+      }
+      break;
+    case Uc::kHybComb:
+      if constexpr (listed(kIds, Uc::kHybComb)) {
+        sync::HybComb<SimCtx>::Options o;
+        o.stall_timeout = p.stall_timeout;
+        o.max_inflight = p.max_inflight;
+        o.bug_drop_every = p.hyb_bug_drop_every;
+        sync::HybComb<SimCtx> uc(obj, p.max_ops, p.fixed_combiner, o);
+        return body(uc);
+      }
+      break;
+    case Uc::kShmServer:
+      if constexpr (listed(kIds, Uc::kShmServer)) {
+        sync::ShmServer<SimCtx> uc(
+            0, obj, sync::ShmServer<SimCtx>::kMaxThreads, p.shm_async_depth);
+        return body(uc);
+      }
+      break;
+    case Uc::kCcSynch:
+      if constexpr (listed(kIds, Uc::kCcSynch)) {
+        sync::CcSynch<SimCtx> uc(obj, mo32, p.fixed_combiner);
+        return body(uc);
+      }
+      break;
+    case Uc::kDsmSynch:
+      if constexpr (listed(kIds, Uc::kDsmSynch)) {
+        sync::DsmSynch<SimCtx> uc(obj, mo32);
+        return body(uc);
+      }
+      break;
+    case Uc::kFlatCombining:
+      if constexpr (listed(kIds, Uc::kFlatCombining)) {
+        sync::FlatCombining<SimCtx> uc(obj,
+                                       sync::FlatCombining<SimCtx>::kMaxThreads,
+                                       std::max<std::uint32_t>(1, mo32 / 2));
+        return body(uc);
+      }
+      break;
+    case Uc::kHSynch:
+      if constexpr (listed(kIds, Uc::kHSynch)) {
+        sync::HSynch<SimCtx> uc(obj, mo32);
+        return body(uc);
+      }
+      break;
+    case Uc::kOyama:
+      if constexpr (listed(kIds, Uc::kOyama)) {
+        sync::OyamaComb<SimCtx> uc(obj);
+        return body(uc);
+      }
+      break;
+    case Uc::kMcsLock:
+      if constexpr (listed(kIds, Uc::kMcsLock)) {
+        sync::LockUc<SimCtx, sync::McsLock<SimCtx>> uc(obj);
+        return body(uc);
+      }
+      break;
+    case Uc::kClhLock:
+      if constexpr (listed(kIds, Uc::kClhLock)) {
+        sync::LockUc<SimCtx, sync::ClhLock<SimCtx>> uc(obj);
+        return body(uc);
+      }
+      break;
+    case Uc::kTicketLock:
+      if constexpr (listed(kIds, Uc::kTicketLock)) {
+        sync::LockUc<SimCtx, sync::TicketLock<SimCtx>> uc(obj);
+        return body(uc);
+      }
+      break;
+    case Uc::kTasLock:
+      if constexpr (listed(kIds, Uc::kTasLock)) {
+        sync::LockUc<SimCtx, sync::TasLock<SimCtx>> uc(obj);
+        return body(uc);
+      }
+      break;
+    case Uc::kTtasLock:
+      if constexpr (listed(kIds, Uc::kTtasLock)) {
+        sync::LockUc<SimCtx, sync::TtasLock<SimCtx>> uc(obj);
+        return body(uc);
+      }
+      break;
+    case Uc::kMpServerHub:
+      if constexpr (listed(kIds, Uc::kMpServerHub)) {
+        // Every CS body a driver can issue, registered before serve().
+        sync::FnHub<SimCtx> uc(0, obj,
+                               {ds::counter_inc<SimCtx>, ds::q_enqueue<SimCtx>,
+                                ds::q_dequeue<SimCtx>, ds::s_push<SimCtx>,
+                                ds::s_pop<SimCtx>},
+                               p.max_inflight);
+        return body(uc);
+      }
+      break;
+    case Uc::kVlink:
+      if constexpr (listed(kIds, Uc::kVlink)) {
+        sync::VlinkServer<SimCtx> uc(ex.machine().vlink(), /*server_core=*/0,
+                                     obj, p.max_inflight);
+        return body(uc);
+      }
+      break;
     case Uc::kSharded:
       break;
   }
   std::fprintf(stderr,
-               "hmps fatal: with_construction: row %d has no single-object "
-               "construction\n",
+               "hmps fatal: with_construction: row %d is not built here\n",
                static_cast<int>(id));
   std::abort();
 }

@@ -541,10 +541,11 @@ RunResult run_service(const ServiceCfg& cfg, Approach a) {
   p.stall_timeout = base.stall_timeout;
   p.shm_async_depth = base.async_batch;
   const Uc id = uc_of(a);
-  return with_construction(id, farm.obj, p, ex, [&]<class U>(U& uc) {
-    OneConstruction<U> fleet(uc, row_of(id), base.async_batch);
-    return open_loop(cfg, ex, fleet, std::max(cfg.sessions, 1u));
-  });
+  return with_construction<kDelegationUc>(
+      id, farm.obj, p, ex, [&]<class U>(U& uc) {
+        OneConstruction<U> fleet(uc, row_of(id), base.async_batch);
+        return open_loop(cfg, ex, fleet, std::max(cfg.sessions, 1u));
+      });
 }
 
 RunResult run_service_sharded(const ServiceCfg& cfg) {

@@ -410,10 +410,12 @@ RunResult run_counter(const RunCfg& cfg, Approach a) {
   p.fixed_combiner = cfg.fixed_combiner;
   p.shm_async_depth = cfg.async_batch;
   const UcRow& row = row_of(uc_of(a));
-  return with_construction(uc_of(a), obj, p, ex, [&]<class U>(U& uc) {
-    return drive(cfg, ex, uc, row.servers, cfg.async_batch >= 2 && row.async,
-                 row.gauge, [call](std::uint64_t) { return call; });
-  });
+  return with_construction<kApproachUc>(
+      uc_of(a), obj, p, ex, [&]<class U>(U& uc) {
+        return drive(cfg, ex, uc, row.servers,
+                     cfg.async_batch >= 2 && row.async, row.gauge,
+                     [call](std::uint64_t) { return call; });
+      });
 }
 
 double ideal_cs_cycles(const RunCfg& cfg) {
@@ -469,10 +471,9 @@ RunResult run_queue(const RunCfg& cfg, QueueImpl qi) {
     return body(uc, 2);
   }
   const Uc id = kQueueImpls[static_cast<int>(qi)].uc;
-  return with_construction(id, &*seq, uc_params(cfg), ex,
-                           [&]<class U>(U& uc) {
-                             return body(uc, row_of(id).servers);
-                           });
+  return with_construction<kDelegationUc>(
+      id, &*seq, uc_params(cfg), ex,
+      [&]<class U>(U& uc) { return body(uc, row_of(id).servers); });
 }
 
 RunResult run_stack(const RunCfg& cfg, StackImpl si) {
@@ -496,10 +497,9 @@ RunResult run_stack(const RunCfg& cfg, StackImpl si) {
     return body(uc, 0);
   }
   const Uc id = kStackImpls[static_cast<int>(si)].uc;
-  return with_construction(id, &*seq, uc_params(cfg), ex,
-                           [&]<class U>(U& uc) {
-                             return body(uc, row_of(id).servers);
-                           });
+  return with_construction<kDelegationUc>(
+      id, &*seq, uc_params(cfg), ex,
+      [&]<class U>(U& uc) { return body(uc, row_of(id).servers); });
 }
 
 }  // namespace hmps::harness
