@@ -8,6 +8,7 @@
 #include "ds/lcrq.hpp"
 #include "ds/queue.hpp"
 #include "ds/stack.hpp"
+#include "harness/farm.hpp"
 #include "harness/registry.hpp"
 #include "runtime/sim_context.hpp"
 #include "runtime/sim_executor.hpp"
@@ -30,40 +31,6 @@ constexpr const char* kObjectNames[kNumObjects] = {
 /// rendezvous-hashed over the shard fleet.
 constexpr std::uint32_t kFarmObjects = 8;
 
-/// The farm every shard CS body runs against: kFarmObjects instances of the
-/// run's object type. Per-object state starts on its own cache line (the ds
-/// objects are alignas(kCacheLine)), so each object is only ever touched by
-/// its home shard's serve fiber.
-template <class T>
-struct Farm {
-  T objs[kFarmObjects];
-};
-
-/// The farm object a packed argument (obj << 32 | arg32, per
-/// sync::ShardedServer::pack_obj_arg) addresses.
-template <class T>
-T* farm_obj(void* o, std::uint64_t a) {
-  return &static_cast<Farm<T>*>(o)->objs[(a >> 32) % kFarmObjects];
-}
-
-std::uint64_t farm_inc(SimCtx& ctx, void* o, std::uint64_t a) {
-  return ds::counter_inc<SimCtx>(ctx, farm_obj<ds::SeqCounter>(o, a), 0);
-}
-std::uint64_t farm_enq(SimCtx& ctx, void* o, std::uint64_t a) {
-  return ds::q_enqueue<SimCtx>(ctx, farm_obj<ds::SeqQueue>(o, a),
-                               a & 0xFFFFFFFFu);
-}
-std::uint64_t farm_deq(SimCtx& ctx, void* o, std::uint64_t a) {
-  return ds::q_dequeue<SimCtx>(ctx, farm_obj<ds::SeqQueue>(o, a), 0);
-}
-std::uint64_t farm_push(SimCtx& ctx, void* o, std::uint64_t a) {
-  return ds::s_push<SimCtx>(ctx, farm_obj<ds::SeqStack>(o, a),
-                            a & 0xFFFFFFFFu);
-}
-std::uint64_t farm_pop(SimCtx& ctx, void* o, std::uint64_t a) {
-  return ds::s_pop<SimCtx>(ctx, farm_obj<ds::SeqStack>(o, a), 0);
-}
-
 /// record_history for the sharded construction: `shards` serve fibers on
 /// tids [0, shards), clients driving random farm objects — queue runs mix
 /// in cross-shard queue_transfer ops, recorded as one deq + one enq record
@@ -79,16 +46,17 @@ RecordResult record_sharded(const RecordCfg& cfg, sim::Perturber* perturber) {
       sync::ShardedServer<SimCtx>::kMaxShards);
   // Only the run's object type is built; the transfer hooks run only in
   // queue runs.
-  std::optional<Farm<ds::SeqCounter>> counters;
-  std::optional<Farm<ds::SeqQueue>> queues;
-  std::optional<Farm<ds::SeqStack>> stacks;
+  std::optional<Farm<ds::SeqCounter, kFarmObjects>> counters;
+  std::optional<Farm<ds::SeqQueue, kFarmObjects>> queues;
+  std::optional<Farm<ds::SeqStack, kFarmObjects>> stacks;
   void* farm = nullptr;
   switch (cfg.object) {
     case Object::kQueue: farm = &queues.emplace(); break;
     case Object::kStack: farm = &stacks.emplace(); break;
     default: farm = &counters.emplace(); break;  // counter, as in draw_op
   }
-  sync::ShardedServer<SimCtx>::TransferHooks hooks{farm_deq, farm_enq};
+  sync::ShardedServer<SimCtx>::TransferHooks hooks{farm_deq<kFarmObjects>,
+                                                   farm_enq<kFarmObjects>};
   sync::ShardedServer<SimCtx> sh(shards, farm, kFarmObjects, 0, hooks);
 
   RecordResult res;
@@ -123,11 +91,11 @@ RecordResult record_sharded(const RecordCfg& cfg, sim::Perturber* perturber) {
       case Object::kQueue:
         if (produce) {
           d.kind = OpKind::kEnq;
-          d.fn = farm_enq;
+          d.fn = farm_enq<kFarmObjects>;
           d.arg = val;
         } else if (ctx.rand_below(2) == 0 || d.obj + 1 >= kFarmObjects) {
           d.kind = OpKind::kDeq;
-          d.fn = farm_deq;
+          d.fn = farm_deq<kFarmObjects>;
         } else {
           // Transfers only move values to strictly higher-numbered
           // objects: a value's trajectory through the farm is acyclic, so
@@ -143,16 +111,16 @@ RecordResult record_sharded(const RecordCfg& cfg, sim::Perturber* perturber) {
       case Object::kStack:
         if (produce) {
           d.kind = OpKind::kPush;
-          d.fn = farm_push;
+          d.fn = farm_push<kFarmObjects>;
           d.arg = val;
         } else {
           d.kind = OpKind::kPop;
-          d.fn = farm_pop;
+          d.fn = farm_pop<kFarmObjects>;
         }
         break;
       default:  // counter (clamp_cfg maps the direct structures away)
         d.kind = OpKind::kInc;
-        d.fn = farm_inc;
+        d.fn = farm_inc<kFarmObjects>;
         break;
     }
     return d;

@@ -5,13 +5,12 @@
 // invoke/response history for the linearizability checkers in history.hpp.
 //
 // The same RecordCfg + seed (+ optional sim::Perturber with the same plan)
-// reproduces the same history bit for bit from the same heap state: the
-// recording loop draws all of its randomness from the simulator's
-// per-thread deterministic streams, and the coherence model virtualizes
-// home assignment, but which simulated variables share a cache line still
-// follows host addresses. A fresh process therefore always reproduces a
-// repro file exactly, while the first run inside a long-lived process may
-// differ from later ones by a few stall cycles (docs/TESTING.md).
+// reproduces the same history bit for bit, in any process and after any
+// earlier runs in it: the recording loop draws all of its randomness from
+// the simulator's per-thread deterministic streams, the coherence model
+// virtualizes home assignment, and every simulated arena is cache-line
+// aligned, so line packing does not follow the heap (docs/TESTING.md;
+// pinned by RunEntryFingerprint.RecordedHistories).
 #pragma once
 
 #include <cstdint>

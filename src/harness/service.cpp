@@ -10,6 +10,7 @@
 
 #include "ds/counter.hpp"
 #include "ds/queue.hpp"
+#include "harness/farm.hpp"
 #include "harness/registry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
@@ -49,43 +50,12 @@ namespace {
 using Sharded = sync::ShardedServer<SimCtx>;
 using Fn = sync::CsFn<SimCtx>;
 
-// Object farms: one serialization domain runs critical sections on N
-// object instances, and the object index rides in the high half of the CS
-// argument (Sharded::pack_obj_arg). Each instance sits on its own cache
-// line(s), so popularity skew shows up as working-set locality at the
-// serving core. A single construction serves kMaxObjects (the
+// Farm sizes: a single construction serves kMaxObjects (the
 // server-consolidation shape: one serving core, many objects); a sharded
 // fleet spreads kShardedObjects, a population rendezvous hashing can
 // balance (docs/SHARDING.md).
 constexpr std::uint32_t kMaxObjects = 8;
 constexpr std::uint32_t kShardedObjects = 64;
-
-template <class T, std::uint32_t N>
-struct Farm {
-  T objs[N];  // in place: SeqQueue nodes self-reference, so it must not move
-};
-
-template <class T, std::uint32_t N>
-T* farm_obj(void* f, std::uint64_t a) {
-  return &static_cast<Farm<T, N>*>(f)->objs[(a >> 32) % N];
-}
-
-template <std::uint32_t N>
-std::uint64_t farm_inc(SimCtx& ctx, void* f, std::uint64_t a) {
-  return ds::counter_inc(ctx, farm_obj<ds::SeqCounter, N>(f, a), 0);
-}
-template <std::uint32_t N>
-std::uint64_t farm_get(SimCtx& ctx, void* f, std::uint64_t a) {
-  return ds::counter_get(ctx, farm_obj<ds::SeqCounter, N>(f, a), 0);
-}
-template <std::uint32_t N>
-std::uint64_t farm_enq(SimCtx& ctx, void* f, std::uint64_t a) {
-  return ds::q_enqueue(ctx, farm_obj<ds::SeqQueue, N>(f, a), a & 0xFFFFFFFFu);
-}
-template <std::uint32_t N>
-std::uint64_t farm_deq(SimCtx& ctx, void* f, std::uint64_t a) {
-  return ds::q_dequeue(ctx, farm_obj<ds::SeqQueue, N>(f, a), 0);
-}
 
 // The run's farm: counters or MS-queues, only the one it drives.
 template <std::uint32_t N>
