@@ -25,6 +25,21 @@ using rt::SimExecutor;
 constexpr const char* kObjectNames[kNumObjects] = {
     "counter", "queue", "stack", "lcrq", "elim_stack"};
 
+// Empty dequeues and pops already read as kNothing.
+static_assert(ds::kQEmpty == kNothing && ds::kStackEmpty == kNothing);
+
+/// The recorded response value of an operation that returned `ret`.
+std::uint64_t response_value(OpKind kind, std::uint64_t ret) {
+  return kind == OpKind::kEnq || kind == OpKind::kPush ? 0 : ret;
+}
+
+/// Random think time between a client's operations.
+void think(SimCtx& ctx, const RecordCfg& cfg) {
+  if (cfg.think_max > 0) {
+    ctx.compute(ctx.rand_below(static_cast<std::uint32_t>(cfg.think_max) + 1));
+  }
+}
+
 // ---- sharded fleet workload (docs/SHARDING.md) ----
 
 /// Object-farm size for the sharded construction: dense ids [0, 8),
@@ -152,17 +167,7 @@ RecordResult record_sharded(const RecordCfg& cfg, sim::Perturber* perturber) {
       rec.record(e);
       return;
     }
-    switch (d.kind) {
-      case OpKind::kEnq:
-      case OpKind::kPush: r.ret = 0; break;
-      case OpKind::kDeq:
-        r.ret = ret == ds::kQEmpty ? kNothing : ret;
-        break;
-      case OpKind::kPop:
-        r.ret = ret == ds::kStackEmpty ? kNothing : ret;
-        break;
-      default: r.ret = ret; break;
-    }
+    r.ret = response_value(d.kind, ret);
     rec.record(r);
   };
 
@@ -189,10 +194,7 @@ RecordResult record_sharded(const RecordCfg& cfg, sim::Perturber* perturber) {
             const std::uint64_t ret = sh.wait(ctx, tickets[j]);
             finish_op(ops[j], i, invokes[j], ctx.now(), ret);
           }
-          if (cfg.think_max > 0) {
-            ctx.compute(ctx.rand_below(
-                static_cast<std::uint32_t>(cfg.think_max) + 1));
-          }
+          think(ctx, cfg);
         }
       } else {
         for (std::uint32_t k = 0; k < cfg.ops_each; ++k) {
@@ -202,10 +204,7 @@ RecordResult record_sharded(const RecordCfg& cfg, sim::Perturber* perturber) {
               d.transfer ? sh.queue_transfer(ctx, d.obj, d.dst)
                          : sh.apply(ctx, d.fn, d.obj, d.arg);
           finish_op(d, i, invoke, ctx.now(), ret);
-          if (cfg.think_max > 0) {
-            ctx.compute(ctx.rand_below(
-                static_cast<std::uint32_t>(cfg.think_max) + 1));
-          }
+          think(ctx, cfg);
         }
       }
       ++res.finished_threads;
@@ -295,9 +294,6 @@ constexpr ObjectOps kObjectOps[kNumObjects] = {
      true},
 };
 
-// Empty dequeues and pops already read as kNothing.
-static_assert(ds::kQEmpty == kNothing && ds::kStackEmpty == kNothing);
-
 /// Draws client i's k-th operation: fills the record's kind and argument
 /// and returns the CS body that performs it.
 sync::CsFn<SimCtx> draw_op(SimCtx& ctx, const RecordCfg& cfg, std::uint32_t i,
@@ -315,11 +311,6 @@ sync::CsFn<SimCtx> draw_op(SimCtx& ctx, const RecordCfg& cfg, std::uint32_t i,
   return o.produce_fn;
 }
 
-/// The recorded response value of an operation that returned `ret`.
-std::uint64_t response_value(OpKind kind, std::uint64_t ret) {
-  return kind == OpKind::kEnq || kind == OpKind::kPush ? 0 : ret;
-}
-
 /// record_history over construction `uc`: `ns` server fibers (tid 0), then
 /// cfg.threads clients. With depth >= 2 the clients issue trains of that
 /// many tickets and reap them in REVERSE order (deliberately exercising the
@@ -330,12 +321,6 @@ void record_clients(const RecordCfg& cfg, SimExecutor& ex, U& uc,
                     std::uint32_t ns, std::uint32_t depth, RecordResult& res,
                     HistoryRecorder& rec) {
   if (ns > 0) ex.add_thread([&uc](SimCtx& ctx) { serve(uc, ctx, 0); });
-  auto think = [&cfg](SimCtx& ctx) {
-    if (cfg.think_max > 0) {
-      ctx.compute(
-          ctx.rand_below(static_cast<std::uint32_t>(cfg.think_max) + 1));
-    }
-  };
   for (std::uint32_t i = 0; i < cfg.threads; ++i) {
     ex.add_thread([&, i](SimCtx& ctx) {
       if constexpr (AsyncUc<U>) {
@@ -355,7 +340,7 @@ void record_clients(const RecordCfg& cfg, SimExecutor& ex, U& uc,
             r.response = ctx.now();
             rec.record(r);
           }
-          think(ctx);
+          think(ctx, cfg);
         }
       }
       for (std::uint32_t k = 0; depth == 0 && k < cfg.ops_each; ++k) {
@@ -365,7 +350,7 @@ void record_clients(const RecordCfg& cfg, SimExecutor& ex, U& uc,
         r.ret = response_value(r.kind, uc.apply(ctx, fn, r.arg));
         r.response = ctx.now();
         rec.record(r);
-        think(ctx);
+        think(ctx, cfg);
       }
       ++res.finished_threads;
       if constexpr (requires { uc.request_stop(ctx); }) {

@@ -269,6 +269,7 @@ struct LcrqUc {
   sync::SyncStats stats(rt::Tid) const { return {}; }
 };
 
+/// Constructions with the ticket API (docs/MODEL.md §9).
 template <class U>
 concept AsyncUc = requires(U& uc, rt::SimCtx& ctx, sync::CsFn<rt::SimCtx> fn,
                            sync::Ticket& t) {

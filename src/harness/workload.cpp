@@ -438,8 +438,8 @@ double ideal_cs_cycles(const RunCfg& cfg) {
 }
 
 RunResult run_queue(const RunCfg& cfg, QueueImpl qi) {
-  // An enumerator outside the table used to run the benchmark with no
-  // server thread and hang the clients; die with a diagnosis instead.
+  // An enumerator outside the table has no server to start: die with a
+  // diagnosis rather than run clients that would hang.
   if (static_cast<std::size_t>(qi) >= std::size(kQueueImpls)) {
     std::fprintf(stderr, "hmps fatal: run_queue: unhandled QueueImpl %d\n",
                  static_cast<int>(qi));

@@ -173,6 +173,19 @@ void acquire_credit(Ctx& ctx, Word* credits, std::uint64_t limit,
   acquire_credit(ctx, credits, limit, st, [] { return false; });
 }
 
+/// Credit-gate drain step of the UDN servers (MpServer, MpServerHub):
+/// stashes one 2-word reply that already arrived for the caller's own
+/// outstanding tickets and releases that reply's credit.
+template <class Ctx>
+bool drain_udn_reply(Ctx& ctx, std::uint32_t outstanding, Word* credits) {
+  if (outstanding == 0 || ctx.queue_empty()) return false;
+  std::uint64_t m[2];
+  ctx.receive_async(m, 2);
+  ctx.stage_reply(reply_tag(m[0]), m[1]);
+  ctx.faa(credits, ~std::uint64_t{0});
+  return true;
+}
+
 /// Exploration yield point at a named sync-layer boundary (`where` must
 /// have static storage duration). Compiles to nothing for contexts without
 /// schedule exploration (NativeCtx); for SimCtx it is one predicted branch

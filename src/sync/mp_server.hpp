@@ -73,8 +73,9 @@ class MpServer {
     obs::Span<Ctx> span(ctx, "mp.request");
     explore_point(ctx, "mp.async_issue");
     if (max_inflight_ != 0) {
-      acquire_credit(ctx, &inflight_, max_inflight_, st,
-                     [&] { return drain_reply(ctx, a); });
+      acquire_credit(ctx, &inflight_, max_inflight_, st, [&] {
+        return drain_udn_reply(ctx, a.outstanding, &inflight_);
+      });
     }
     const std::uint64_t tag = a.next_tag;
     a.next_tag = a.next_tag == kAsyncTagMask ? 1 : a.next_tag + 1;
@@ -183,17 +184,6 @@ class MpServer {
     std::uint64_t next_tag = 1;
     std::uint32_t outstanding = 0;  ///< issued minus reaped
   };
-
-  /// Credit-gate drain step: stashes one reply that already arrived for
-  /// this thread's own tickets and releases its credit (docs/MODEL.md §9).
-  bool drain_reply(Ctx& ctx, AsyncSt& a) {
-    if (a.outstanding == 0 || ctx.queue_empty()) return false;
-    std::uint64_t m[2];
-    ctx.receive_async(m, 2);
-    ctx.stage_reply(reply_tag(m[0]), m[1]);
-    ctx.faa(&inflight_, ~std::uint64_t{0});
-    return true;
-  }
 
   Tid server_;
   void* obj_;

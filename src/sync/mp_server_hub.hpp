@@ -54,6 +54,15 @@ class MpServerHub {
   Tid server_tid() const { return server_; }
   std::size_t op_count() const { return ops_.size(); }
 
+  /// Opcode of the first registration of `fn`.
+  std::uint64_t opcode_of(Fn fn) const {
+    for (std::size_t i = 0; i < ops_.size(); ++i) {
+      if (ops_[i].fn == fn) return i + 1;
+    }
+    std::fprintf(stderr, "hmps fatal: MpServerHub: unregistered CS body\n");
+    std::abort();
+  }
+
   /// Client side: executes the CS registered under `opcode`. With async
   /// tickets outstanding the call is routed through the async path to keep
   /// the reply stream framed (docs/MODEL.md §9).
@@ -89,8 +98,9 @@ class MpServerHub {
     obs::Span<Ctx> span(ctx, "hub.request");
     explore_point(ctx, "hub.async_issue");
     if (max_inflight_ != 0) {
-      acquire_credit(ctx, &inflight_, max_inflight_, st,
-                     [&] { return drain_reply(ctx, a); });
+      acquire_credit(ctx, &inflight_, max_inflight_, st, [&] {
+        return drain_udn_reply(ctx, a.outstanding, &inflight_);
+      });
     }
     const std::uint64_t tag = a.next_tag;
     a.next_tag = a.next_tag == kAsyncTagMask ? 1 : a.next_tag + 1;
@@ -191,17 +201,6 @@ class MpServerHub {
     std::uint32_t outstanding = 0;  ///< issued minus reaped
   };
 
-  /// Credit-gate drain step, as in MpServer: stashes one reply that
-  /// already arrived for this thread's own tickets and releases its credit.
-  bool drain_reply(Ctx& ctx, AsyncSt& a) {
-    if (a.outstanding == 0 || ctx.queue_empty()) return false;
-    std::uint64_t m[2];
-    ctx.receive_async(m, 2);
-    ctx.stage_reply(reply_tag(m[0]), m[1]);
-    ctx.faa(&inflight_, ~std::uint64_t{0});
-    return true;
-  }
-
   Tid server_;
   std::uint64_t max_inflight_;
   std::vector<Entry> ops_;
@@ -212,41 +211,24 @@ class MpServerHub {
 
 /// MpServerHub behind the CsFn interface of the other constructions: every
 /// body in `fns` is registered on `obj` up front (opcodes 1..n in order, as
-/// serve() requires), and each call maps its CsFn to that opcode.
+/// serve() requires), and apply() maps each CsFn to its opcode.
 template <class Ctx>
-class FnHub {
+class FnHub : public MpServerHub<Ctx> {
  public:
   using Fn = CsFn<Ctx>;
 
   FnHub(Tid server_tid, void* obj, std::initializer_list<Fn> fns,
         std::uint64_t max_inflight = 0)
-      : hub_(server_tid, max_inflight) {
-    for (const Fn fn : fns) hub_.add_op(fn, obj);
-    fns_.assign(fns.begin(), fns.end());
+      : MpServerHub<Ctx>(server_tid, max_inflight) {
+    for (const Fn fn : fns) this->add_op(fn, obj);
   }
 
   std::uint64_t apply(Ctx& ctx, Fn fn, std::uint64_t arg) {
-    return hub_.apply(ctx, opcode(fn), arg);
+    return MpServerHub<Ctx>::apply(ctx, this->opcode_of(fn), arg);
   }
   Ticket apply_async(Ctx& ctx, Fn fn, std::uint64_t arg) {
-    return hub_.apply_async(ctx, opcode(fn), arg);
+    return MpServerHub<Ctx>::apply_async(ctx, this->opcode_of(fn), arg);
   }
-  std::uint64_t wait(Ctx& ctx, Ticket& t) { return hub_.wait(ctx, t); }
-  void serve(Ctx& ctx) { hub_.serve(ctx); }
-  void request_stop(Ctx& ctx) { hub_.request_stop(ctx); }
-  SyncStats& stats(Tid t) { return hub_.stats(t); }
-
- private:
-  std::uint64_t opcode(Fn fn) const {
-    for (std::size_t i = 0; i < fns_.size(); ++i) {
-      if (fns_[i] == fn) return i + 1;
-    }
-    std::fprintf(stderr, "hmps fatal: FnHub: CS body was never registered\n");
-    std::abort();
-  }
-
-  MpServerHub<Ctx> hub_;
-  std::vector<Fn> fns_;
 };
 
 }  // namespace hmps::sync

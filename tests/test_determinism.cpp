@@ -615,9 +615,11 @@ TEST(RunEntryFingerprint, ShmServerServiceRun) {
             3214122818286159705ull);
 }
 
-// Every driver x construction pair below was captured before the harness
-// drivers were rewritten over one construction registry; the rewrite must
-// reproduce each run entry and each recorded history bit for bit.
+// The tables below pin every harness driver x construction pair: run
+// entries of run_counter, run_queue, run_stack, run_service and
+// run_service_sharded (with and without async trains and credits), and
+// recorded histories of record_history. A construction added to the
+// registry gets a row here.
 
 std::uint64_t entry_fp(obs::MetricsRegistry& reg) {
   return fnv1a(reg.root()["runs"].items().at(0).dump());
