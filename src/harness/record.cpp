@@ -323,9 +323,19 @@ void record_clients(const RecordCfg& cfg, SimExecutor& ex, U& uc,
   if (ns > 0) ex.add_thread([&uc](SimCtx& ctx) { serve(uc, ctx, 0); });
   for (std::uint32_t i = 0; i < cfg.threads; ++i) {
     ex.add_thread([&, i](SimCtx& ctx) {
-      if constexpr (AsyncUc<U>) {
+      if (depth == 0) {
+        for (std::uint32_t k = 0; k < cfg.ops_each; ++k) {
+          OpRecord r;
+          r.invoke = ctx.now();
+          const sync::CsFn<SimCtx> fn = draw_op(ctx, cfg, i, k, r);
+          r.ret = response_value(r.kind, uc.apply(ctx, fn, r.arg));
+          r.response = ctx.now();
+          rec.record(r);
+          think(ctx, cfg);
+        }
+      } else if constexpr (AsyncUc<U>) {
         std::uint32_t k = 0;
-        while (depth != 0 && k < cfg.ops_each) {
+        while (k < cfg.ops_each) {
           const std::uint32_t n = std::min(depth, cfg.ops_each - k);
           OpRecord recs[16];
           sync::Ticket tickets[16];
@@ -342,15 +352,6 @@ void record_clients(const RecordCfg& cfg, SimExecutor& ex, U& uc,
           }
           think(ctx, cfg);
         }
-      }
-      for (std::uint32_t k = 0; depth == 0 && k < cfg.ops_each; ++k) {
-        OpRecord r;
-        r.invoke = ctx.now();
-        const sync::CsFn<SimCtx> fn = draw_op(ctx, cfg, i, k, r);
-        r.ret = response_value(r.kind, uc.apply(ctx, fn, r.arg));
-        r.response = ctx.now();
-        rec.record(r);
-        think(ctx, cfg);
       }
       ++res.finished_threads;
       if constexpr (requires { uc.request_stop(ctx); }) {
