@@ -52,18 +52,24 @@ constexpr ImplRow kStackImpls[] = {
 
 }  // namespace
 
-const char* approach_name(Approach a) { return row_of(uc_of(a)).approach; }
+const char* approach_name(Approach a) {
+  return static_cast<std::size_t>(a) < std::size(kApproachUc)
+             ? row_of(uc_of(a)).approach
+             : "?";
+}
 
 bool approach_needs_server(Approach a) {
   return row_of(uc_of(a)).servers > 0;
 }
 
 const char* queue_name(QueueImpl q) {
-  return kQueueImpls[static_cast<int>(q)].name;
+  const auto i = static_cast<std::size_t>(q);
+  return i < std::size(kQueueImpls) ? kQueueImpls[i].name : "?";
 }
 
 const char* stack_name(StackImpl s) {
-  return kStackImpls[static_cast<int>(s)].name;
+  const auto i = static_cast<std::size_t>(s);
+  return i < std::size(kStackImpls) ? kStackImpls[i].name : "?";
 }
 
 namespace {
