@@ -23,14 +23,23 @@
 #include "arch/params.hpp"
 #include "arch/topology.hpp"
 #include "arch/udn.hpp"
+#include "ds/counter.hpp"
+#include "harness/farm.hpp"
 #include "harness/record.hpp"
 #include "harness/service.hpp"
 #include "harness/workload.hpp"
 #include "obs/metrics.hpp"
+#include "runtime/sim_context.hpp"
+#include "runtime/sim_executor.hpp"
 #include "sim/perturb.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/trace.hpp"
+#include "sync/hybcomb.hpp"
+#include "sync/mp_server.hpp"
+#include "sync/mp_server_hub.hpp"
+#include "sync/sharded.hpp"
+#include "sync/vlink_server.hpp"
 
 namespace hmps {
 namespace {
@@ -948,6 +957,141 @@ TEST(RunEntryFingerprint, RecordedHistories) {
       cfg.obs.trace = &sink;
       harness::run_counter(cfg, harness::Approach::kHybComb);
     }
+  }
+}
+
+// Async ticket paths (docs/MODEL.md §9) of the message-passing
+// constructions: every client runs three depth-4 ticket trains reaped in
+// reverse order, so each non-last reply goes through the reply stash, then
+// a fourth train reaped by wait_all. At max_inflight 2 a train holds more
+// tickets than there are credits, so issuing drains replies on the credit
+// gate. The fingerprint mixes every reaped value with its ticket's issue and
+// completion cycles, and the cycle each wait_all returns.
+
+enum class TicketUc { kMpServer, kMpServerHub, kVlink, kHybComb, kSharded };
+
+constexpr std::uint32_t kTicketClients = 3;
+constexpr std::uint32_t kTicketFarm = 8;
+/// Far past the end of every run; a client that deadlocks or livelocks (a
+/// credit never released spins forever) stops here with its fingerprint
+/// incomplete.
+constexpr sim::Cycle kTicketHorizon = 200'000;
+
+/// Adds the client fibers (after any server fibers), runs the machine until
+/// it quiesces or reaches kTicketHorizon, and returns the fingerprint.
+/// `issue(ctx, client, n)` issues the client's n-th op.
+template <class U, class Issue>
+std::uint64_t ticket_paths_fp(rt::SimExecutor& ex, U& uc, Issue issue) {
+  Fp fps[kTicketClients];
+  std::uint32_t done = 0;
+  for (std::uint32_t i = 0; i < kTicketClients; ++i) {
+    ex.add_thread([&, i](rt::SimCtx& ctx) {
+      Fp& fp = fps[i];
+      std::uint64_t n = 0;
+      sync::Ticket t[4];
+      for (int train = 0; train < 3; ++train) {
+        for (sync::Ticket& tk : t) tk = issue(ctx, i, n++);
+        for (int j = 4; j-- > 0;) {
+          fp.mix(uc.wait(ctx, t[j]));
+          fp.mix(t[j].issued);
+          fp.mix(t[j].completed);
+        }
+        ctx.compute(ctx.rand_below(20));
+      }
+      for (sync::Ticket& tk : t) {
+        tk = issue(ctx, i, n++);
+        fp.mix(tk.issued);
+      }
+      uc.wait_all(ctx);
+      fp.mix(ctx.now());
+      if (++done == kTicketClients) {
+        if constexpr (requires { uc.request_stop(ctx); }) uc.request_stop(ctx);
+      }
+    });
+  }
+  ex.run_until(kTicketHorizon);
+  Fp all;
+  for (const Fp& f : fps) all.mix(f.h);
+  return all.h;
+}
+
+std::uint64_t ticket_paths_fp(TicketUc kind, std::uint64_t max_inflight) {
+  using rt::SimCtx;
+  rt::SimExecutor ex(arch::MachineParams::tilegx36(), /*seed=*/7);
+  ds::SeqCounter c;
+  const auto inc = ds::counter_inc<SimCtx>;
+  switch (kind) {
+    case TicketUc::kMpServer: {
+      sync::MpServer<SimCtx> uc(0, &c, max_inflight);
+      ex.add_thread([&](SimCtx& ctx) { uc.serve(ctx); });
+      return ticket_paths_fp(ex, uc, [&](SimCtx& ctx, std::uint32_t,
+                                         std::uint64_t) {
+        return uc.apply_async(ctx, inc, 0);
+      });
+    }
+    case TicketUc::kMpServerHub: {
+      sync::MpServerHub<SimCtx> uc(0, max_inflight);
+      const std::uint64_t op = uc.add_op(inc, &c);
+      ex.add_thread([&](SimCtx& ctx) { uc.serve(ctx); });
+      return ticket_paths_fp(ex, uc, [&](SimCtx& ctx, std::uint32_t,
+                                         std::uint64_t) {
+        return uc.apply_async(ctx, op, 0);
+      });
+    }
+    case TicketUc::kVlink: {
+      sync::VlinkServer<SimCtx> uc(ex.machine().vlink(), 0, &c, max_inflight);
+      ex.add_thread([&](SimCtx& ctx) { uc.serve(ctx); });
+      return ticket_paths_fp(ex, uc, [&](SimCtx& ctx, std::uint32_t,
+                                         std::uint64_t) {
+        return uc.apply_async(ctx, inc, 0);
+      });
+    }
+    case TicketUc::kHybComb: {
+      sync::HybComb<SimCtx>::Options o;
+      o.max_inflight = max_inflight;
+      sync::HybComb<SimCtx> uc(&c, /*max_ops=*/16, false, o);
+      return ticket_paths_fp(ex, uc, [&](SimCtx& ctx, std::uint32_t,
+                                         std::uint64_t) {
+        return uc.apply_async(ctx, inc, 0);
+      });
+    }
+    case TicketUc::kSharded: {
+      harness::Farm<ds::SeqCounter, kTicketFarm> farm;
+      sync::ShardedServer<SimCtx> uc(2, &farm, kTicketFarm, max_inflight);
+      for (std::uint32_t s = 0; s < 2; ++s) {
+        ex.add_thread([&, s](SimCtx& ctx) { uc.serve(ctx, s); });
+      }
+      return ticket_paths_fp(ex, uc, [&](SimCtx& ctx, std::uint32_t i,
+                                         std::uint64_t n) {
+        return uc.apply_async(ctx, harness::farm_inc<kTicketFarm>,
+                              (i + n) % kTicketFarm, 0);
+      });
+    }
+  }
+  return 0;
+}
+
+TEST(RunEntryFingerprint, AsyncTicketPaths) {
+  struct TicketGold {
+    TicketUc kind;
+    std::uint64_t max_inflight;
+    std::uint64_t fp;
+  };
+  const TicketGold gold[] = {
+      {TicketUc::kMpServer, 0, 15221699403777982491ull},
+      {TicketUc::kMpServer, 2, 17516412033945815691ull},
+      {TicketUc::kMpServerHub, 0, 15221699403777982491ull},
+      {TicketUc::kMpServerHub, 2, 17516412033945815691ull},
+      {TicketUc::kVlink, 0, 9745506462213719024ull},
+      {TicketUc::kVlink, 2, 17130803337072287224ull},
+      {TicketUc::kHybComb, 0, 958069268073794201ull},
+      {TicketUc::kHybComb, 2, 6956380426347710555ull},
+      {TicketUc::kSharded, 0, 13457793468213473549ull},
+      {TicketUc::kSharded, 2, 11879188799336340886ull},
+  };
+  for (const TicketGold& g : gold) {
+    EXPECT_EQ(ticket_paths_fp(g.kind, g.max_inflight), g.fp)
+        << static_cast<int>(g.kind) << " inflight " << g.max_inflight;
   }
 }
 
