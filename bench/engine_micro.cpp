@@ -18,8 +18,7 @@
 //   --json   append machine-readable results to FILE
 //
 // Rates are host wall-clock, so absolute numbers vary by machine; the point
-// is comparing the same workload across engine versions (scripts/
-// bench_engine.sh records them in BENCH_engine.json).
+// is comparing the same workload across engine versions on one host.
 //
 // Compiling this file against the pre-overhaul engine (for baselines)
 // requires -DENGINE_MICRO_SEED, which stubs out the self-counters that the

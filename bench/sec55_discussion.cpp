@@ -13,10 +13,12 @@
 // correctness and order of magnitude, not scalability.
 #include <atomic>
 #include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "ds/counter.hpp"
+#include "harness/artifact.hpp"
 #include "harness/report.hpp"
 #include "harness/workload.hpp"
 #include "runtime/native_context.hpp"
@@ -94,18 +96,20 @@ double native_shmserver_mops(std::uint32_t nclients, int millis) {
 
 int main(int argc, char** argv) {
   const auto args = harness::BenchArgs::parse(argc, argv);
+  harness::RunArtifacts art(args, "sec55_discussion", argc, argv);
 
   harness::Table table({"machine", "approach", "peak Mops/s",
                         "serv stall/op", "serv total/op"});
   struct Preset {
     const char* label;
+    const char* key;  ///< run label prefix in the artifact
     arch::MachineParams params;
     std::uint32_t threads;
   };
   const Preset presets[] = {
-      {"TILE-Gx (36c)", arch::MachineParams::tilegx36(), 35},
-      {"Xeon-like (10c)", arch::MachineParams::xeon10(), 9},
-      {"Opteron-like (6c)", arch::MachineParams::opteron6(), 5},
+      {"TILE-Gx (36c)", "tilegx36", arch::MachineParams::tilegx36(), 35},
+      {"Xeon-like (10c)", "xeon10", arch::MachineParams::xeon10(), 9},
+      {"Opteron-like (6c)", "opteron6", arch::MachineParams::opteron6(), 5},
   };
   for (const auto& p : presets) {
     for (Approach a : {Approach::kShmServer, Approach::kCcSynch}) {
@@ -117,6 +121,8 @@ int main(int argc, char** argv) {
       if (args.reps) cfg.reps = args.reps;
       // Per the paper's stall measurement, pin the servicing thread.
       cfg.fixed_combiner = (a == Approach::kCcSynch);
+      cfg.obs = art.next_run(std::string(p.key) + "/" +
+                             harness::approach_name(a));
       const auto r = harness::run_counter(cfg, a);
       table.add_row({p.label, harness::approach_name(a),
                      harness::fmt(r.mops), harness::fmt(r.serv_stall_per_op, 1),
@@ -144,5 +150,6 @@ int main(int argc, char** argv) {
   }
   native.print("Section 5.5: native x86 spot check (host hardware)");
   if (!args.csv.empty()) table.write_csv(args.csv);
+  art.finalize();
   return 0;
 }

@@ -28,12 +28,12 @@ ctest --test-dir build --output-on-failure 2>&1 | tee results/ctest.txt
 
 echo "== benches =="
 # stdout goes to bench_all.txt; stderr (progress lines, warnings) is kept
-# visible AND captured — a silently swallowed bench failure here once cost a
-# debugging session. Every hmps bench also drops its hmps-metrics-v1
-# artifact next to the text output; the two google-benchmark binaries
-# (native_micro, engine_micro) have their own CLI and are run bare. Each
-# bench's wall time is reported inline and collected in bench_times.txt so
-# --jobs speedups are visible at a glance.
+# visible AND captured, so a failing bench cannot go unnoticed. Every bench
+# that writes an hmps-metrics-v2 artifact drops it next to the text output
+# (bench/README.md lists the ones that write none); native_micro and
+# engine_micro have their own CLI and are run bare. Each bench's wall time
+# is reported inline and collected in bench_times.txt so --jobs speedups
+# are visible at a glance.
 : > results/bench_times.txt
 for b in build/bench/*; do
   if [ -f "$b" ] && [ -x "$b" ]; then

@@ -93,7 +93,7 @@ class Fiber {
   static constexpr std::size_t kDefaultStack = 256 * 1024;
 
   /// Stacks reused from the thread-local pool instead of freshly allocated
-  /// (observability for the zero-allocation tests and BENCH_engine.json).
+  /// (observability for the zero-allocation tests and engine_micro).
   static std::uint64_t stack_pool_hits();
 
  private:

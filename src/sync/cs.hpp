@@ -13,6 +13,8 @@
 // a single indirect call (the inlining effect the paper exploits).
 #pragma once
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -173,19 +175,6 @@ void acquire_credit(Ctx& ctx, Word* credits, std::uint64_t limit,
   acquire_credit(ctx, credits, limit, st, [] { return false; });
 }
 
-/// Credit-gate drain step of the UDN servers (MpServer, MpServerHub):
-/// stashes one 2-word reply that already arrived for the caller's own
-/// outstanding tickets and releases that reply's credit.
-template <class Ctx>
-bool drain_udn_reply(Ctx& ctx, std::uint32_t outstanding, Word* credits) {
-  if (outstanding == 0 || ctx.queue_empty()) return false;
-  std::uint64_t m[2];
-  ctx.receive_async(m, 2);
-  ctx.stage_reply(reply_tag(m[0]), m[1]);
-  ctx.faa(credits, ~std::uint64_t{0});
-  return true;
-}
-
 /// Exploration yield point at a named sync-layer boundary (`where` must
 /// have static storage duration). Compiles to nothing for contexts without
 /// schedule exploration (NativeCtx); for SimCtx it is one predicted branch
@@ -197,6 +186,111 @@ inline void explore_point(Ctx& ctx, const char* where) {
   if constexpr (requires { ctx.explore_point(where); }) {
     ctx.explore_point(where);
   }
+}
+
+// ---- client side of the ticket protocol (docs/MODEL.md §9) ----
+//
+// MpServer, MpServerHub, VlinkServer, ShardedServer and HybComb reap their
+// tickets the same way; they differ only in how a client pulls one reply
+// frame off its reply stream and which credit that frame releases. A reply
+// stream provides
+//     bool empty(ctx)       no reply has arrived (a probe that never blocks)
+//     ReplyFrame pull(ctx)  receives the next reply in arrival order and
+//                           releases its credit
+// and a thread's ticket book provides `outstanding` and complete(tag).
+
+/// One reply frame: the tag it answers and the CS result.
+struct ReplyFrame {
+  std::uint64_t tag;
+  std::uint64_t value;
+};
+
+/// One client thread's tickets on one construction.
+struct alignas(rt::kCacheLine) TicketBook {
+  std::uint64_t next_tag = 1;
+  std::uint32_t outstanding = 0;  ///< issued minus reaped
+
+  /// Claims the next tag (nonzero, wrapping within kAsyncTagMask) for a
+  /// request about to be sent.
+  std::uint64_t issue() {
+    const std::uint64_t tag = next_tag;
+    next_tag = next_tag == kAsyncTagMask ? 1 : next_tag + 1;
+    ++outstanding;
+    return tag;
+  }
+  void complete(std::uint64_t /*tag*/) { --outstanding; }
+};
+
+/// Reply stream of a UDN client: `kWords`-word reply frames off the core's
+/// own hardware queue, each releasing one credit of `credits` (null when
+/// the overflow guard is off).
+template <std::size_t kWords = 2>
+struct UdnReplies {
+  Word* credits = nullptr;
+
+  template <class Ctx>
+  bool empty(Ctx& ctx) const {
+    return ctx.queue_empty();
+  }
+  template <class Ctx>
+  ReplyFrame pull(Ctx& ctx) const {
+    std::uint64_t m[kWords];
+    ctx.receive_async(m, kWords);
+    // A thread reaping its tickets is never a server or an active
+    // combiner, so only replies reach it.
+    assert(is_reply_frame(m[0]));
+    if (credits != nullptr) ctx.faa(credits, ~std::uint64_t{0});
+    return {reply_tag(m[0]), m[1]};
+  }
+};
+
+/// Reaps ticket `t` on its issuing thread and returns its CS result. A
+/// reply staged earlier is taken first; otherwise replies are pulled in
+/// arrival order and those for other tickets are staged for their own
+/// reap.
+template <class Ctx, class Book, class Replies>
+std::uint64_t reap(Ctx& ctx, Book& book, const Replies& replies, Ticket& t,
+                   const char* where) {
+  if (t.tag == 0) return t.value;  // completed inline
+  explore_point(ctx, where);
+  std::uint64_t val = 0;
+  if (!ctx.take_staged_reply(t.tag, &val)) {
+    for (;;) {
+      const ReplyFrame r = replies.pull(ctx);
+      if (r.tag == t.tag) {
+        val = r.value;
+        break;
+      }
+      ctx.stage_reply(r.tag, r.value);
+    }
+  }
+  book.complete(t.tag);
+  t.completed = ctx.now();
+  return val;
+}
+
+/// Reaps every outstanding ticket of the calling thread, discarding the
+/// results.
+template <class Ctx, class Book, class Replies>
+void reap_all(Ctx& ctx, Book& book, const Replies& replies,
+              const char* where) {
+  explore_point(ctx, where);
+  std::uint64_t tag = 0, val = 0;
+  while (book.outstanding > 0) {
+    if (!ctx.take_any_staged_reply(&tag, &val)) tag = replies.pull(ctx).tag;
+    book.complete(tag);
+  }
+}
+
+/// Credit-gate drain step of an async issuer (acquire_credit): stages one
+/// reply that already arrived for the caller's own tickets, releasing its
+/// credit, and returns whether there was one.
+template <class Ctx, class Book, class Replies>
+bool drain_reply(Ctx& ctx, const Book& book, const Replies& replies) {
+  if (book.outstanding == 0 || replies.empty(ctx)) return false;
+  const ReplyFrame r = replies.pull(ctx);
+  ctx.stage_reply(r.tag, r.value);
+  return true;
 }
 
 /// Hard capacity check for the fixed per-thread pools every construction

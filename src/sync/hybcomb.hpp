@@ -141,24 +141,19 @@ class HybComb {
     const Tid tid = ctx.tid();
     check_tid(tid, kMaxThreads, "HybComb::apply_async");
     SyncStats& st = stats_[tid].s;
-    AsyncSt& a = async_[tid];
+    TicketBook& a = async_[tid];
     explore_point(ctx, "hyb.async_issue");
     const std::uint64_t tag = a.next_tag;
     const Cycle issued = ctx.now();
     Node* reg = nullptr;
     if (try_register_send(ctx, fn, arg, tag, st, &reg)) {
-      a.next_tag = a.next_tag == kAsyncTagMask ? 1 : a.next_tag + 1;
+      a.issue();
       ++st.async_issued;
-      ++a.outstanding;
-      Ticket t{tag, 0, 0};
-      t.issued = issued;
-      return t;
+      return Ticket{.tag = tag, .issued = issued};
     }
     ++st.async_issued;
-    Ticket t{0, combine_section(ctx, fn, arg, st), 0};
-    t.issued = issued;
-    t.completed = ctx.now();
-    return t;
+    const std::uint64_t value = combine_section(ctx, fn, arg, st);
+    return Ticket{.value = value, .issued = issued, .completed = ctx.now()};
   }
 
   /// Reaps one ticket, returning its CS result. Must run on the issuing
@@ -168,29 +163,7 @@ class HybComb {
   std::uint64_t wait(Ctx& ctx, Ticket& t) {
     const Tid tid = ctx.tid();
     check_tid(tid, kMaxThreads, "HybComb::wait");
-    AsyncSt& a = async_[tid];
-    if (t.tag == 0) return t.value;  // completed inline (combiner path)
-    explore_point(ctx, "hyb.reap");
-    std::uint64_t val;
-    if (ctx.take_staged_reply(t.tag, &val)) {
-      --a.outstanding;
-      t.completed = ctx.now();
-      return val;
-    }
-    for (;;) {
-      std::uint64_t m[3];
-      ctx.receive_async(m, 3);
-      // Only replies can land here: requests go to registered combiners,
-      // and a thread inside wait() is never one.
-      assert(is_reply_frame(m[0]));
-      const std::uint64_t got = reply_tag(m[0]);
-      if (got == t.tag) {
-        --a.outstanding;
-        t.completed = ctx.now();
-        return m[1];
-      }
-      ctx.stage_reply(got, m[1]);
-    }
+    return reap(ctx, async_[tid], kReplies, t, "hyb.reap");
   }
 
   /// Reaps every outstanding ticket of the calling thread, discarding the
@@ -198,19 +171,7 @@ class HybComb {
   void wait_all(Ctx& ctx) {
     const Tid tid = ctx.tid();
     check_tid(tid, kMaxThreads, "HybComb::wait_all");
-    AsyncSt& a = async_[tid];
-    explore_point(ctx, "hyb.reap");
-    std::uint64_t tag, val;
-    while (a.outstanding > 0) {
-      if (ctx.take_any_staged_reply(&tag, &val)) {
-        --a.outstanding;
-        continue;
-      }
-      std::uint64_t m[3];
-      ctx.receive_async(m, 3);
-      assert(is_reply_frame(m[0]));
-      --a.outstanding;
-    }
+    reap_all(ctx, async_[tid], kReplies, "hyb.reap");
   }
 
   SyncStats& stats(Tid t) {
@@ -236,6 +197,14 @@ class HybComb {
     Word inflight{0};  ///< Section 6 per-combiner credits (max_inflight)
   };
   static_assert(sizeof(Node) == rt::kCacheLine);
+
+  /// Reply stream of a client: 3-word reply frames (padded like requests,
+  /// see serve_frame()) that release no credit, since the combiner released
+  /// it when it served the request. Issuers drain it on the credit gate
+  /// although liveness does not need that: an issuer parked on a credit
+  /// then never lets its hardware queue fill with undrained replies, which
+  /// would eventually block the combiner's reply sends on small buffers.
+  static constexpr UdnReplies<3> kReplies{};
 
   struct alignas(rt::kCacheLine) PerThread {
     Node* node = nullptr;
@@ -267,11 +236,6 @@ class HybComb {
     }
   }
 
-  struct alignas(rt::kCacheLine) AsyncSt {
-    std::uint64_t next_tag = 1;
-    std::uint32_t outstanding = 0;  ///< issued minus reaped
-  };
-
   /// Registration phase (Algorithm 1 lines 8-21). Returns true when the
   /// request registered with a combiner and was sent (`*out_reg` is the
   /// node whose credit pool it drew from); false when the caller became the
@@ -296,7 +260,9 @@ class HybComb {
             acquire_credit(ctx, &last_reg->inflight, opts_.max_inflight, st);
           } else {
             acquire_credit(ctx, &last_reg->inflight, opts_.max_inflight, st,
-                           [&] { return drain_reply(ctx, async_[tid]); });
+                           [&] {
+                             return drain_reply(ctx, async_[tid], kReplies);
+                           });
           }
         }
         explore_point(ctx, "hyb.pre_send");
@@ -431,22 +397,6 @@ class HybComb {
     }
   }
 
-  /// Credit-gate drain step for async issuers. Liveness needs no drain
-  /// here — credits release through the combiner's own serving progress —
-  /// but replies that already arrived for this thread's outstanding tickets
-  /// are moved to the stash anyway, so an issuer parked on a credit never
-  /// lets its hardware queue fill up with undrained replies (which would
-  /// eventually block the combiner's reply sends on small buffers). The
-  /// 3-word reply frame releases no credit.
-  bool drain_reply(Ctx& ctx, AsyncSt& a) {
-    if (a.outstanding == 0 || ctx.queue_empty()) return false;
-    std::uint64_t m[3];
-    ctx.receive_async(m, 3);
-    assert(is_reply_frame(m[0]));
-    ctx.stage_reply(reply_tag(m[0]), m[1]);
-    return true;
-  }
-
   void* obj_;
   std::uint64_t max_ops_;
   bool fixed_;
@@ -456,7 +406,7 @@ class HybComb {
   alignas(rt::kCacheLine) Word departed_{0};   ///< departed_combiner
   PerThread my_[kMaxThreads];
   PaddedStats stats_[kMaxThreads];
-  AsyncSt async_[kMaxThreads];
+  TicketBook async_[kMaxThreads];
   // Seeded-bug state (Options::bug_drop_every); only touched inside the
   // combiner section, i.e. in mutual exclusion.
   std::uint64_t bug_serves_ = 0;

@@ -16,7 +16,23 @@
 
 namespace hmps::sync {
 
-template <class Ctx>
+/// Names of an MP-SERVER flavour's capacity checks, spans and explore
+/// points (MpServer's "mp.*", MpServerHub's "hub.*").
+struct MpServerNames {
+  const char* who;
+  const char* request;
+  const char* pre_send;
+  const char* async_issue;
+  const char* reap;
+  const char* serve;
+  const char* cs;
+};
+
+inline constexpr MpServerNames kMpServerNames{
+    "MpServer", "mp.request", "mp.pre_send", "mp.async_issue",
+    "mp.reap",  "mp.serve",   "mp.cs"};
+
+template <class Ctx, const MpServerNames& kNames = kMpServerNames>
 class MpServer {
  public:
   using Fn = CsFn<Ctx>;
@@ -38,27 +54,8 @@ class MpServer {
 
   /// Client side: executes `fn(obj, arg)` in mutual exclusion on the server
   /// and returns its result. Must not be called from the server thread.
-  /// With async tickets outstanding the call is routed through the async
-  /// path: a bare 1-word response would misframe behind the pending tagged
-  /// reply pairs (docs/MODEL.md §9).
   std::uint64_t apply(Ctx& ctx, Fn fn, std::uint64_t arg) {
-    const Tid tid = ctx.tid();
-    check_tid(tid, kMaxThreads, "MpServer::apply");
-    if (async_[tid].outstanding > 0) {
-      Ticket t = apply_async(ctx, fn, arg);
-      return wait(ctx, t);
-    }
-    obs::Span<Ctx> span(ctx, "mp.request");
-    explore_point(ctx, "mp.pre_send");
-    if (max_inflight_ == 0) {
-      ctx.send(server_, {tid, rt::to_word(fn), arg});
-      return ctx.receive1();
-    }
-    acquire_credit(ctx, &inflight_, max_inflight_, stats_[tid].s);
-    ctx.send(server_, {tid, rt::to_word(fn), arg});
-    const std::uint64_t ret = ctx.receive1();
-    ctx.faa(&inflight_, ~std::uint64_t{0});  // release (+(-1))
-    return ret;
+    return request(ctx, rt::to_word(fn), arg);
   }
 
   /// Issues `fn(obj, arg)` without blocking on the response: the request is
@@ -66,90 +63,100 @@ class MpServer {
   /// wait_all(). A pending ticket holds its in-flight credit until the
   /// reply reaches this client (docs/MODEL.md §9).
   Ticket apply_async(Ctx& ctx, Fn fn, std::uint64_t arg) {
-    const Tid tid = ctx.tid();
-    check_tid(tid, kMaxThreads, "MpServer::apply_async");
-    SyncStats& st = stats_[tid].s;
-    AsyncSt& a = async_[tid];
-    obs::Span<Ctx> span(ctx, "mp.request");
-    explore_point(ctx, "mp.async_issue");
-    if (max_inflight_ != 0) {
-      acquire_credit(ctx, &inflight_, max_inflight_, st, [&] {
-        return drain_udn_reply(ctx, a.outstanding, &inflight_);
-      });
-    }
-    const std::uint64_t tag = a.next_tag;
-    a.next_tag = a.next_tag == kAsyncTagMask ? 1 : a.next_tag + 1;
-    ctx.send(server_, {pack_request_id(tid, tag), rt::to_word(fn), arg});
-    ++st.async_issued;
-    ++a.outstanding;
-    Ticket t{tag, 0, 0};
-    t.issued = ctx.now();
-    return t;
+    return request_async(ctx, rt::to_word(fn), arg);
   }
 
   /// Reaps one ticket, returning its CS result. Must run on the issuing
   /// thread. Replies for other outstanding tickets arriving first are
   /// staged in the context for their own wait().
   std::uint64_t wait(Ctx& ctx, Ticket& t) {
-    const Tid tid = ctx.tid();
-    check_tid(tid, kMaxThreads, "MpServer::wait");
-    AsyncSt& a = async_[tid];
-    if (t.tag == 0) return t.value;  // completed inline
-    explore_point(ctx, "mp.reap");
-    std::uint64_t val;
-    if (ctx.take_staged_reply(t.tag, &val)) {
-      --a.outstanding;
-      t.completed = ctx.now();
-      return val;
-    }
-    for (;;) {
-      std::uint64_t m[2];
-      ctx.receive_async(m, 2);
-      if (max_inflight_ != 0) ctx.faa(&inflight_, ~std::uint64_t{0});
-      const std::uint64_t got = reply_tag(m[0]);
-      if (got == t.tag) {
-        --a.outstanding;
-        t.completed = ctx.now();
-        return m[1];
-      }
-      ctx.stage_reply(got, m[1]);
-    }
+    return reap(ctx, book(ctx), replies(), t, kNames.reap);
   }
 
   /// Reaps every outstanding ticket of the calling thread, discarding the
   /// results (use wait() per ticket when the values matter).
   void wait_all(Ctx& ctx) {
-    const Tid tid = ctx.tid();
-    check_tid(tid, kMaxThreads, "MpServer::wait_all");
-    AsyncSt& a = async_[tid];
-    explore_point(ctx, "mp.reap");
-    std::uint64_t tag, val;
-    while (a.outstanding > 0) {
-      if (ctx.take_any_staged_reply(&tag, &val)) {
-        --a.outstanding;
-        continue;
-      }
-      std::uint64_t m[2];
-      ctx.receive_async(m, 2);
-      if (max_inflight_ != 0) ctx.faa(&inflight_, ~std::uint64_t{0});
-      --a.outstanding;
-    }
+    reap_all(ctx, book(ctx), replies(), kNames.reap);
   }
 
   /// Server side: serves requests until a stop request arrives (see
   /// request_stop). Runs forever under open-ended simulation windows.
   void serve(Ctx& ctx) {
-    check_tid(ctx.tid(), kMaxThreads, "MpServer::serve");
+    serve_with(ctx, [this](Ctx& c, std::uint64_t fn, std::uint64_t arg) {
+      return rt::from_word<std::remove_pointer_t<Fn>>(fn)(c, obj_, arg);
+    });
+  }
+
+  /// Asks the server loop to exit. Safe to call while requests from other
+  /// clients are still queued ahead of the stop message; they are served
+  /// first (FIFO hardware queue).
+  void request_stop(Ctx& ctx) { ctx.send(server_, {0, kStopWord, 0}); }
+
+  SyncStats& stats(Tid t) {
+    check_tid(t, kMaxThreads, kNames.who);
+    return stats_[t].s;
+  }
+
+  /// Requests currently holding an overflow-guard credit (0 when the guard
+  /// is off). Telemetry gauge — a plain snapshot read, never synchronizing.
+  std::uint64_t inflight() const {
+    return inflight_.load(std::memory_order_relaxed);
+  }
+
+ protected:
+  /// The request path with request word 1 given (a CS body or an opcode).
+  /// With async tickets outstanding a synchronous request is routed through
+  /// the async path: a bare 1-word response would misframe behind the
+  /// pending tagged reply pairs (docs/MODEL.md §9).
+  std::uint64_t request(Ctx& ctx, std::uint64_t w1, std::uint64_t arg) {
+    const Tid tid = ctx.tid();
+    if (book(ctx).outstanding > 0) {
+      Ticket t = request_async(ctx, w1, arg);
+      return wait(ctx, t);
+    }
+    obs::Span<Ctx> span(ctx, kNames.request);
+    explore_point(ctx, kNames.pre_send);
+    if (max_inflight_ == 0) {
+      ctx.send(server_, {tid, w1, arg});
+      return ctx.receive1();
+    }
+    acquire_credit(ctx, &inflight_, max_inflight_, stats_[tid].s);
+    ctx.send(server_, {tid, w1, arg});
+    const std::uint64_t ret = ctx.receive1();
+    ctx.faa(&inflight_, ~std::uint64_t{0});  // release (+(-1))
+    return ret;
+  }
+
+  Ticket request_async(Ctx& ctx, std::uint64_t w1, std::uint64_t arg) {
+    const Tid tid = ctx.tid();
+    TicketBook& a = book(ctx);
+    SyncStats& st = stats_[tid].s;
+    obs::Span<Ctx> span(ctx, kNames.request);
+    explore_point(ctx, kNames.async_issue);
+    if (max_inflight_ != 0) {
+      acquire_credit(ctx, &inflight_, max_inflight_, st,
+                     [&] { return drain_reply(ctx, a, replies()); });
+    }
+    const std::uint64_t tag = a.issue();
+    ctx.send(server_, {pack_request_id(tid, tag), w1, arg});
+    ++st.async_issued;
+    return Ticket{.tag = tag, .issued = ctx.now()};
+  }
+
+  /// The server loop; `call(ctx, w1, arg)` runs the CS request word 1
+  /// names.
+  template <class Call>
+  void serve_with(Ctx& ctx, Call call) {
+    check_tid(ctx.tid(), kMaxThreads, kNames.who);
     SyncStats& st = stats_[ctx.tid()].s;
     for (;;) {
-      explore_point(ctx, "mp.serve");
+      explore_point(ctx, kNames.serve);
       std::uint64_t m[3];
       ctx.receive(m, 3);
       if (m[1] == kStopWord) return;
       // CS + response phase on the server's critical path.
-      obs::Span<Ctx> cs(ctx, "mp.cs");
-      Fn fn = rt::from_word<std::remove_pointer_t<Fn>>(m[1]);
-      const std::uint64_t ret = fn(ctx, obj_, m[2]);
+      obs::Span<Ctx> cs(ctx, kNames.cs);
+      const std::uint64_t ret = call(ctx, m[1], m[2]);
       const std::uint64_t tag = request_tag(m[0]);
       if (tag != 0) {
         ctx.send(request_tid(m[0]), {kAsyncReplyMark | tag, ret});
@@ -160,37 +167,25 @@ class MpServer {
     }
   }
 
-  /// Asks the server loop to exit. Safe to call while requests from other
-  /// clients are still queued ahead of the stop message; they are served
-  /// first (FIFO hardware queue).
-  void request_stop(Ctx& ctx) { ctx.send(server_, {0, kStopWord, 0}); }
-
-  SyncStats& stats(Tid t) {
-    check_tid(t, kMaxThreads, "MpServer::stats");
-    return stats_[t].s;
-  }
-
-  /// Requests currently holding an overflow-guard credit (0 when the guard
-  /// is off). Telemetry gauge — a plain snapshot read, never synchronizing.
-  std::uint64_t inflight() const {
-    return inflight_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct alignas(rt::kCacheLine) PaddedStats {
     SyncStats s;
   };
-  struct alignas(rt::kCacheLine) AsyncSt {
-    std::uint64_t next_tag = 1;
-    std::uint32_t outstanding = 0;  ///< issued minus reaped
-  };
+
+  TicketBook& book(Ctx& ctx) {
+    check_tid(ctx.tid(), kMaxThreads, kNames.who);
+    return async_[ctx.tid()];
+  }
+  UdnReplies<> replies() {
+    return {max_inflight_ != 0 ? &inflight_ : nullptr};
+  }
 
   Tid server_;
   void* obj_;
   std::uint64_t max_inflight_;
   alignas(rt::kCacheLine) Word inflight_{0};
   PaddedStats stats_[kMaxThreads];
-  AsyncSt async_[kMaxThreads];
+  TicketBook async_[kMaxThreads];
 };
 
 }  // namespace hmps::sync

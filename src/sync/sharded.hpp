@@ -136,7 +136,7 @@ class ShardedServer {
   /// behind pending tagged pairs, docs/MODEL.md §9).
   std::uint64_t apply(Ctx& ctx, Fn fn, std::uint64_t obj, std::uint64_t arg) {
     const std::uint32_t slot = client_slot(ctx, "ShardedServer::apply");
-    if (clients_[slot].total_outstanding > 0) {
+    if (clients_[slot].outstanding > 0) {
       Ticket t = apply_async(ctx, fn, obj, arg);
       return wait(ctx, t);
     }
@@ -169,7 +169,7 @@ class ShardedServer {
   std::uint64_t queue_transfer(Ctx& ctx, std::uint64_t src, std::uint64_t dst) {
     const std::uint32_t slot =
         client_slot(ctx, "ShardedServer::queue_transfer");
-    if (clients_[slot].total_outstanding > 0) {
+    if (clients_[slot].outstanding > 0) {
       Ticket t = transfer_async(ctx, src, dst);
       return wait(ctx, t);
     }
@@ -199,47 +199,14 @@ class ShardedServer {
   /// wait().
   std::uint64_t wait(Ctx& ctx, Ticket& t) {
     const std::uint32_t slot = client_slot(ctx, "ShardedServer::wait");
-    ClientSt& c = clients_[slot];
-    if (t.tag == 0) return t.value;  // completed inline
-    explore_point(ctx, "shard.reap");
-    std::uint64_t val;
-    if (ctx.take_staged_reply(t.tag, &val)) {
-      complete(c, t.tag);
-      t.completed = ctx.now();
-      return val;
-    }
-    for (;;) {
-      std::uint64_t m[2];
-      ctx.receive_async(m, 2);
-      const std::uint64_t got = reply_tag(m[0]);
-      if (max_inflight_ != 0) release_credit(ctx, tag_shard(got));
-      if (got == t.tag) {
-        complete(c, got);
-        t.completed = ctx.now();
-        return m[1];
-      }
-      ctx.stage_reply(got, m[1]);
-    }
+    return reap(ctx, clients_[slot], Replies{this}, t, "shard.reap");
   }
 
   /// Reaps every outstanding ticket of the calling thread across all
   /// shards, discarding results.
   void wait_all(Ctx& ctx) {
     const std::uint32_t slot = client_slot(ctx, "ShardedServer::wait_all");
-    ClientSt& c = clients_[slot];
-    explore_point(ctx, "shard.reap");
-    std::uint64_t tag, val;
-    while (c.total_outstanding > 0) {
-      if (ctx.take_any_staged_reply(&tag, &val)) {
-        complete(c, tag);
-        continue;
-      }
-      std::uint64_t m[2];
-      ctx.receive_async(m, 2);
-      const std::uint64_t got = reply_tag(m[0]);
-      if (max_inflight_ != 0) release_credit(ctx, tag_shard(got));
-      complete(c, got);
-    }
+    reap_all(ctx, clients_[slot], Replies{this}, "shard.reap");
   }
 
   /// Shard server loop; run on thread `shard` (== its tid). Demuxes three
@@ -327,10 +294,30 @@ class ShardedServer {
   struct alignas(rt::kCacheLine) PaddedWord {
     Word v{0};
   };
+  /// A client's ticket book (docs/MODEL.md §9), counted per shard.
   struct alignas(rt::kCacheLine) ClientSt {
     std::uint64_t seq[kMaxShards] = {};     ///< next tag sequence, per shard
     std::uint32_t out[kMaxShards] = {};     ///< outstanding, per shard
-    std::uint32_t total_outstanding = 0;
+    std::uint32_t outstanding = 0;          ///< over all shards
+
+    void complete(std::uint64_t tag) {
+      --out[tag_shard(tag)];
+      --outstanding;
+    }
+  };
+  /// A client's UDN queue as a ticket-protocol reply stream: 2-word
+  /// frames, each releasing a credit of the shard its tag names.
+  struct Replies {
+    ShardedServer* fleet;
+
+    bool empty(Ctx& ctx) const { return ctx.queue_empty(); }
+    ReplyFrame pull(Ctx& ctx) const {
+      std::uint64_t m[2];
+      ctx.receive_async(m, 2);
+      const std::uint64_t tag = reply_tag(m[0]);
+      if (fleet->max_inflight_ != 0) fleet->release_credit(ctx, tag_shard(tag));
+      return {tag, m[1]};
+    }
   };
   /// A transfer parked at its source shard, waiting for the destination
   /// shard's ack.
@@ -367,7 +354,7 @@ class ShardedServer {
     explore_point(ctx, "shard.async_issue");
     if (max_inflight_ != 0) {
       acquire_credit(ctx, &inflight_[s].v, max_inflight_, st,
-                     [&] { return drain_reply(ctx, c); });
+                     [&] { return drain_reply(ctx, c, Replies{this}); });
     }
     std::uint64_t seq = c.seq[s];
     if (seq == 0 || seq > kSeqMask) [[unlikely]] {
@@ -393,16 +380,8 @@ class ShardedServer {
     ++st.async_issued;
     ++st.ops;
     ++c.out[s];
-    ++c.total_outstanding;
-    Ticket t{tag, 0, 0};
-    t.issued = ctx.now();
-    return t;
-  }
-
-  void complete(ClientSt& c, std::uint64_t tag) {
-    const std::uint32_t s = tag_shard(tag);
-    --c.out[s];
-    --c.total_outstanding;
+    ++c.outstanding;
+    return Ticket{.tag = tag, .issued = ctx.now()};
   }
 
   void reply_to(Ctx& ctx, std::uint64_t id_word, std::uint64_t ret) {
@@ -481,20 +460,6 @@ class ShardedServer {
     pending_[shard][slot] = Pending{client_id, value, true};
     ++live_pending_[shard];
     return slot;
-  }
-
-  /// Credit-gate drain step: stashes one already-arrived reply (any
-  /// shard's) and releases its credit on the shard its tag names — without
-  /// it a client whose unreaped tickets hold every credit of a shard would
-  /// spin forever (docs/MODEL.md §9).
-  bool drain_reply(Ctx& ctx, ClientSt& c) {
-    if (c.total_outstanding == 0 || ctx.queue_empty()) return false;
-    std::uint64_t m[2];
-    ctx.receive_async(m, 2);
-    const std::uint64_t got = reply_tag(m[0]);
-    ctx.stage_reply(got, m[1]);
-    release_credit(ctx, tag_shard(got));
-    return true;
   }
 
   void release_credit(Ctx& ctx, std::uint32_t s) {

@@ -89,21 +89,17 @@ class VlinkServer {
     check_tid(tid, kMaxThreads, "VlinkServer::apply_async");
     ensure_reply_channel(ctx, tid);
     SyncStats& st = stats_[tid].s;
-    AsyncSt& a = async_[tid];
+    TicketBook& a = async_[tid];
     obs::Span<Ctx> span(ctx, "vlink.request");
     explore_point(ctx, "vlink.async_issue");
     if (max_inflight_ != 0) {
       acquire_credit(ctx, &inflight_, max_inflight_, st,
-                     [&] { return drain_reply(ctx, a); });
+                     [&] { return drain_reply(ctx, a, replies(tid)); });
     }
-    const std::uint64_t tag = a.next_tag;
-    a.next_tag = a.next_tag == kAsyncTagMask ? 1 : a.next_tag + 1;
+    const std::uint64_t tag = a.issue();
     ctx.vlink_push(req_ch_, {pack_request_id(tid, tag), rt::to_word(fn), arg});
     ++st.async_issued;
-    ++a.outstanding;
-    Ticket t{tag, 0, 0};
-    t.issued = ctx.now();
-    return t;
+    return Ticket{.tag = tag, .issued = ctx.now()};
   }
 
   /// Reaps one ticket on the issuing thread. Replies for other outstanding
@@ -112,46 +108,14 @@ class VlinkServer {
   std::uint64_t wait(Ctx& ctx, Ticket& t) {
     const Tid tid = ctx.tid();
     check_tid(tid, kMaxThreads, "VlinkServer::wait");
-    AsyncSt& a = async_[tid];
-    if (t.tag == 0) return t.value;  // completed inline
-    explore_point(ctx, "vlink.reap");
-    std::uint64_t val;
-    if (ctx.take_staged_reply(t.tag, &val)) {
-      --a.outstanding;
-      t.completed = ctx.now();
-      return val;
-    }
-    for (;;) {
-      std::uint64_t m[2];
-      ctx.vlink_pop_async(reply_ch_[tid], m, 2);
-      if (max_inflight_ != 0) ctx.faa(&inflight_, ~std::uint64_t{0});
-      const std::uint64_t got = reply_tag(m[0]);
-      if (got == t.tag) {
-        --a.outstanding;
-        t.completed = ctx.now();
-        return m[1];
-      }
-      ctx.stage_reply(got, m[1]);
-    }
+    return reap(ctx, async_[tid], replies(tid), t, "vlink.reap");
   }
 
   /// Reaps every outstanding ticket of the calling thread.
   void wait_all(Ctx& ctx) {
     const Tid tid = ctx.tid();
     check_tid(tid, kMaxThreads, "VlinkServer::wait_all");
-    AsyncSt& a = async_[tid];
-    explore_point(ctx, "vlink.reap");
-    std::uint64_t tag, val;
-    while (a.outstanding > 0) {
-      if (ctx.take_any_staged_reply(&tag, &val)) {
-        --a.outstanding;
-        continue;
-      }
-      std::uint64_t m[2];
-      ctx.vlink_pop_async(reply_ch_[tid], m, 2);
-      if (max_inflight_ != 0) ctx.faa(&inflight_, ~std::uint64_t{0});
-      --a.outstanding;
-    }
+    reap_all(ctx, async_[tid], replies(tid), "vlink.reap");
   }
 
   /// Server side: drains the shared request channel until a stop frame
@@ -199,9 +163,19 @@ class VlinkServer {
   struct alignas(rt::kCacheLine) PaddedStats {
     SyncStats s;
   };
-  struct alignas(rt::kCacheLine) AsyncSt {
-    std::uint64_t next_tag = 1;
-    std::uint32_t outstanding = 0;
+  /// A client's reply channel as a ticket-protocol reply stream: 2-word
+  /// frames, each releasing one credit of `credits` (null: guard off).
+  struct Replies {
+    std::uint32_t ch;
+    Word* credits;
+
+    bool empty(Ctx& ctx) const { return ctx.vlink_empty(ch); }
+    ReplyFrame pull(Ctx& ctx) const {
+      std::uint64_t m[2];
+      ctx.vlink_pop_async(ch, m, 2);
+      if (credits != nullptr) ctx.faa(credits, ~std::uint64_t{0});
+      return {reply_tag(m[0]), m[1]};
+    }
   };
 
   /// Lazily anchors this client's reply channel at its current core. First
@@ -213,16 +187,8 @@ class VlinkServer {
     }
   }
 
-  /// Credit-gate drain step: stashes one reply already delivered for this
-  /// thread's own tickets and releases its credit (docs/MODEL.md §9).
-  bool drain_reply(Ctx& ctx, AsyncSt& a) {
-    const std::uint32_t ch = reply_ch_[ctx.tid()];
-    if (a.outstanding == 0 || ctx.vlink_empty(ch)) return false;
-    std::uint64_t m[2];
-    ctx.vlink_pop_async(ch, m, 2);
-    ctx.stage_reply(reply_tag(m[0]), m[1]);
-    ctx.faa(&inflight_, ~std::uint64_t{0});
-    return true;
+  Replies replies(Tid tid) {
+    return {reply_ch_[tid], max_inflight_ != 0 ? &inflight_ : nullptr};
   }
 
   arch::VlinkFabric& fab_;
@@ -232,7 +198,7 @@ class VlinkServer {
   alignas(rt::kCacheLine) Word inflight_{0};
   std::uint32_t reply_ch_[kMaxThreads];
   PaddedStats stats_[kMaxThreads];
-  AsyncSt async_[kMaxThreads];
+  TicketBook async_[kMaxThreads];
 };
 
 }  // namespace hmps::sync
